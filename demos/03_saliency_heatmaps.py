@@ -29,18 +29,13 @@ for tag, strength in (("baseline", 0.0), ("saliency", 0.5)):
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-written = 0
-for i, ex in enumerate(test_set.examples):
-    if ex.label != 1 or written >= 8:
-        continue
+shown = [(i, ex) for i, ex in enumerate(test_set.examples) if ex.label == 1][:8]
+hard = {tag: predict_batch(trained[tag], config, [ex for _, ex in shown])[1] for tag in trained}
+for row, (i, ex) in enumerate(shown):
     report = saliency_report(trained["saliency"], config, ex, corpus.vocab, k=6)
-    predictions = {}
-    for tag in ("baseline", "saliency"):
-        _, hard = predict_batch(trained[tag], config, [ex])
-        predictions[tag] = int(hard[0])
+    predictions = {tag: int(hard[tag][row]) for tag in ("baseline", "saliency")}
     page = render_heatmap(ex, report, predictions, k=6)
     (out_dir / f"heatmap_{i:03d}.html").write_text(page, encoding="utf-8")
-    written += 1
 
-print(f"wrote {written} heatmaps to {out_dir}")
+print(f"wrote {len(shown)} heatmaps to {out_dir}")
 print("open any of them in a browser; darker red = more salient")

@@ -3,7 +3,7 @@
 from .engine import Tensor, Graph, GradRequest, backward, grad, no_grad, set_grad_enabled
 from . import ops
 from .gradcheck import finite_diff_check, finite_diff_check_many
-from .model import ModelConfig, ModelParams, ForwardTrace, encode, encode_batch, predict
+from .model import ModelConfig, ModelParams, ForwardTrace, encode, encode_batch
 from .data import Example, Dataset, SynthConfig, Vocabulary, gen_synthetic, load_jsonl, save_jsonl
 from .loss import SaliencyConfig, task_loss, token_saliency, hinge_penalty, total_cost
 from .training import TrainConfig, TrainLog, adam_step, train
@@ -34,7 +34,6 @@ __all__ = [
     "ForwardTrace",
     "encode",
     "encode_batch",
-    "predict",
     "Example",
     "Dataset",
     "SynthConfig",

@@ -293,21 +293,20 @@ def cmd_saliency(run: RunConfig):
         baseline, _ = ModelParams.load(run["baseline_checkpoint"], mode=config.mode)
     out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for i, ex in enumerate(dataset.examples[: run["limit"]]):
+    examples = dataset.examples[: run["limit"]]
+    _, own = predict_batch(params, config, examples)
+    if baseline is not None:
+        _, other = predict_batch(baseline, config, examples)
+    for i, ex in enumerate(examples):
         rep = saliency_report(params, config, ex, vocab, k=run["k"])
-        predictions = None
-        _, own = predict_batch(params, config, [ex])
         if baseline is not None:
-            _, other = predict_batch(baseline, config, [ex])
-            predictions = {"baseline": int(other[0]), "saliency": int(own[0])}
+            predictions = {"baseline": int(other[i]), "saliency": int(own[i])}
         else:
-            predictions = {"model": int(own[0])}
+            predictions = {"model": int(own[i])}
         (out / f"heatmap_{i:04d}.html").write_text(
             render_heatmap(ex, rep, predictions, k=run["k"]), encoding="utf-8"
         )
-        count += 1
-    print(f"wrote {count} heatmaps to {out}")
+    print(f"wrote {len(examples)} heatmaps to {out}")
     return 0
 
 

@@ -299,7 +299,7 @@ def load_embeddings(path, vocab: Vocabulary, dim=None, seed=0):
         raise ValueError("empty embeddings file and no dim given")
     from .model import default_embedding_table
 
-    table = default_embedding_table(len(vocab), dim, seed=seed)
+    table = default_embedding_table(len(vocab), dim, np.random.default_rng(seed))
     coverage = 0
     for i, token in enumerate(vocab.tokens):
         if token in rows:

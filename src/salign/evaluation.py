@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ops
 from .engine import grad, no_grad
-from .model import LEVELS, encode, encode_batch
+from .model import LEVELS, encode_batch
 
 
 @dataclass
@@ -85,7 +85,7 @@ def predict_batch(params, config, examples, chunk=256):
             part = examples[lo : lo + chunk]
             trace = encode_batch(part, params, config)
             logits = np.atleast_1d(trace.logit.values)
-            probs.append(1.0 / (1.0 + np.exp(-logits)))
+            probs.append(ops.sigmoid(logits).values)
     probs = np.concatenate(probs) if probs else np.zeros(0)
     return probs, (probs >= 0.5).astype(np.int64)
 
@@ -218,16 +218,9 @@ def _rank_by_magnitude(values):
 
 def saliency_report(params, config, example, vocab, levels=LEVELS, k=6) -> SaliencyReport:
     """Per-token gradients of one example with dropout disabled."""
-    trace = encode(example, params, config)
-    targets = [trace.level_tensor(level) for level in levels]
-    grads = grad(ops.sum_all(trace.logit), targets)
-    n = min(len(example.tokens), config.max_len)
-    per_level = {}
-    for level in levels:
-        g = grads[trace.level_tensor(level)].values
-        per_level[level] = (g.sum(axis=-1) if g.ndim == 2 else g)[:n].copy()
+    per_level = saliency_scores(params, config, [example], levels)[0]
     word = per_level.get("word", next(iter(per_level.values())))
-    tokens = [vocab.token_for(t) for t in example.tokens[:n]]
+    tokens = [vocab.token_for(t) for t in example.tokens[: config.max_len]]
     return SaliencyReport(
         tokens=tokens, grads=per_level, top_indices=_rank_by_magnitude(word)[:k]
     )

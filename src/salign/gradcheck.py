@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Tensor, grad
+from . import ops
+from .engine import grad, no_grad
 
 
 def finite_diff_check(f, x, eps=1e-4):
@@ -18,27 +19,7 @@ def finite_diff_check(f, x, eps=1e-4):
     f maps a Tensor to a scalar Tensor and must be deterministic. The error
     at each coordinate is |analytic - cd| / max(1, |cd|).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    y = f(x)
-    if y.shape not in ((), (1,)):
-        raise ValueError("finite_diff_check: f must return a scalar")
-    analytic = grad(y, [x])[x].values.reshape(-1)
-
-    flat = x.values.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        up = f(x).item()
-        flat[i] = orig - eps
-        down = f(x).item()
-        flat[i] = orig
-        cd = (up - down) / (2.0 * eps)
-        err = abs(analytic[i] - cd) / max(1.0, abs(cd))
-        if err > worst:
-            worst = err
-    return worst
+    return finite_diff_check_many(lambda: f(x), {"x": x}, eps)[0]
 
 
 def finite_diff_check_many(f, tensors, eps=1e-4):
@@ -120,30 +101,14 @@ def _pool_margin_unique(values, axis):
     return worst
 
 
-def _conv_values(x, kernel, bias):
-    w = kernel.shape[0]
-    half = w // 2
-    out = np.tile(bias, (x.shape[0], 1))
-    for t in range(w):
-        s = half - t
-        shifted = np.zeros_like(x)
-        if s == 0:
-            shifted[...] = x
-        elif s > 0:
-            shifted[s:] = x[:-s]
-        else:
-            shifted[:s] = x[-s:]
-        out += shifted @ kernel[t]
-    return out
-
-
 def _tower_margins(x, params):
     """Kink margins of one conv stack: relu distances, live max-gap, outputs."""
     margins = []
     activations = []
     for w in sorted(params.kernels):
         kernel, bias = params.kernels[w]
-        pre = _conv_values(x, kernel.values, bias.values)
+        with no_grad():
+            pre = ops.conv1d_same(x, kernel, bias).values
         margins.append(relu_margin(pre))
         activations.append(np.maximum(pre, 0.0))
     combined = activations[0]
@@ -190,14 +155,19 @@ def model_kink_margin(params, config, example, saliency_cfg=None):
 def select_smooth_positives(params, config, examples, saliency_cfg, count, min_margin=1e-3):
     """First `count` positive examples whose forward sits clear of kinks."""
     chosen = []
+    scanned = 0
     for ex in examples:
         if ex.label != 1 or ex.marked_count < 1:
             continue
+        scanned += 1
         if model_kink_margin(params, config, ex, saliency_cfg) > min_margin:
             chosen.append(ex)
             if len(chosen) == count:
                 return chosen
-    raise RuntimeError(f"found only {len(chosen)} kink-free positives")
+    raise ValueError(
+        f"found only {len(chosen)} kink-free positives of {count} requested "
+        f"among {scanned} marked positive candidates"
+    )
 
 
 def model_cost_gradcheck(

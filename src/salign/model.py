@@ -53,9 +53,8 @@ class ModelConfig:
         return self.embed_dim + self.max_len
 
 
-def default_embedding_table(vocab_size, dim, seed=0):
-    """Default embedding init: small gaussian rows, zero pad row."""
-    rng = np.random.default_rng(seed)
+def default_embedding_table(vocab_size, dim, rng):
+    """Default embedding init: small gaussian rows drawn from rng, zero pad row."""
     table = rng.normal(0.0, 0.1, size=(vocab_size, dim))
     table[PAD_ID] = 0.0
     return table
@@ -68,9 +67,7 @@ class ModelParams:
         self.config = config
         rng = np.random.default_rng(seed)
         d = config.embed_dim
-        table = rng.normal(0.0, 0.1, size=(config.vocab_size, d))
-        table[PAD_ID] = 0.0
-        self.embedding = Tensor(table)
+        self.embedding = Tensor(default_embedding_table(config.vocab_size, d, rng))
         self.kernels = {}
         for w in config.window_sizes:
             k = rng.normal(0.0, np.sqrt(2.0 / (w * d)), size=(w, d, d))
@@ -195,11 +192,23 @@ def pad_ids(tokens, n_max):
     return np.array(ids + [PAD_ID] * (n_max - len(ids)), dtype=np.int64)
 
 
-def embed(tokens, params: ModelParams, config: ModelConfig):
-    """Embedding rows for one padded sentence, shape (max_len, embed_dim)."""
-    for t in tokens:
+def _check_ids(ids, config):
+    for t in ids:
         if not 0 <= t < config.vocab_size:
             raise ValueError(f"token id {t} outside vocabulary of {config.vocab_size}")
+
+
+def _check_query(query, config):
+    """qa mode requires a query, event mode forbids one."""
+    if config.mode == "qa" and query is None:
+        raise ValueError("qa mode requires a query")
+    if config.mode == "event" and query is not None:
+        raise ValueError("event mode forbids a query")
+
+
+def embed(tokens, params: ModelParams, config: ModelConfig):
+    """Embedding rows for one padded sentence, shape (max_len, embed_dim)."""
+    _check_ids(tokens, config)
     return ops.gather_rows(params.embedding, pad_ids(tokens, config.max_len))
 
 
@@ -219,9 +228,7 @@ def _query_repr(query_ids, params, config):
     """Encode a query at its exact length into a (d,) vector."""
     if len(query_ids) < 1:
         raise ValueError("query must contain at least one token")
-    for t in query_ids:
-        if not 0 <= t < config.vocab_size:
-            raise ValueError(f"query token id {t} outside vocabulary")
+    _check_ids(query_ids, config)
     q_emb = ops.gather_rows(params.embedding, np.asarray(query_ids, dtype=np.int64))
     return ops.maxpool_axis(_conv_stack(q_emb, params), axis=-2)
 
@@ -260,15 +267,11 @@ def encode(example, params, config, dropout_mask=None, query_repr_override=None)
     qa mode requires a query, event mode forbids one. query_repr_override
     is a testing seam substituting the pooled query vector.
     """
-    has_query = getattr(example, "query", None) is not None
-    if config.mode == "qa" and not has_query and query_repr_override is None:
-        raise ValueError("qa mode requires a query")
-    if config.mode == "event" and has_query:
-        raise ValueError("event mode forbids a query")
+    query = getattr(example, "query", None)
+    if query is not None or query_repr_override is None:  # an override stands in for a qa query
+        _check_query(query, config)
     embedded = embed(example.tokens, params, config)
-    return _classify(
-        embedded, params, config, getattr(example, "query", None), dropout_mask, query_repr_override
-    )
+    return _classify(embedded, params, config, query, dropout_mask, query_repr_override)
 
 
 def encode_batch(examples, params, config, dropout_masks=None):
@@ -279,24 +282,11 @@ def encode_batch(examples, params, config, dropout_masks=None):
     """
     if not examples:
         raise ValueError("encode_batch needs at least one example")
-    queries = []
     for ex in examples:
-        has_query = ex.query is not None
-        if config.mode == "qa" and not has_query:
-            raise ValueError("qa mode requires a query")
-        if config.mode == "event" and has_query:
-            raise ValueError("event mode forbids a query")
-        queries.append(ex.query)
-        for t in ex.tokens:
-            if not 0 <= t < config.vocab_size:
-                raise ValueError(f"token id {t} outside vocabulary")
+        _check_query(ex.query, config)
+        _check_ids(ex.tokens, config)
+    queries = [ex.query for ex in examples]
     ids = np.stack([pad_ids(ex.tokens, config.max_len) for ex in examples])
     embedded = ops.gather_rows(params.embedding, ids)
     return _classify(embedded, params, config, queries, dropout_masks, None)
 
-
-def predict(logit):
-    """(probability, label); the positive label is chosen when p >= 0.5."""
-    value = logit.item() if isinstance(logit, Tensor) else float(logit)
-    prob = float(ops.sigmoid(Tensor(value)).values)
-    return prob, int(prob >= 0.5)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import ops
-from .engine import Tensor, grad
+from .engine import grad
 from .evaluation import classification_metrics, predict_batch
-from .loss import SaliencyConfig, padded_mask, task_loss
+from .loss import SaliencyConfig, hinge_penalty, padded_mask, task_loss
 from .model import ModelConfig, ModelParams, encode_batch
 
 
@@ -118,7 +118,7 @@ def _batch_cost(examples, params, config, cfg, masks):
         level_tensor = trace.level_tensor(level)
         g = level_grads[level_tensor]
         G = ops.sum_last(g) if g.ndim == 3 else g
-        term = ops.sum_all(ops.relu(ops.neg(ops.mul(G, Tensor(mask)))))
+        term = hinge_penalty(G, mask, 1.0)
         penalty = term if penalty is None else ops.add(penalty, term)
     penalty = ops.scale(penalty, cfg.saliency.strength / n)
     return ops.add(mean_loss, penalty), mean_loss.item(), penalty.item()

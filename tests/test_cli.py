@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from salign.cli import main
-from salign.data import Example, SynthConfig, Vocabulary, gen_synthetic
-from salign.evaluation import SaliencyReport, saliency_report
+from salign.data import Example, SynthConfig, Vocabulary, gen_synthetic, load_jsonl
+from salign.evaluation import SaliencyReport, predict_batch, saliency_report
 from salign.model import ModelConfig, ModelParams
 from salign.report import render_heatmap
 
@@ -115,11 +115,40 @@ class TestSaliencyCommand:
         body = files[0].read_text()
         assert "baseline" in body and "saliency" in body
 
+    @pytest.mark.parametrize("with_baseline", [True, False])
+    def test_predictions_match_per_example_loop(self, workspace, tmp_path, with_baseline):
+        out = tmp_path / "maps"
+        args = ["saliency", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
+                "--data", str(workspace / "test.jsonl"), "--limit", "12", "--out", str(out)]
+        if with_baseline:
+            args += ["--baseline-checkpoint", str(workspace / "base/checkpoint.bin")]
+        assert run_cli(*args) == 0
+        sal, config = ModelParams.load(workspace / "sal/checkpoint.bin")
+        base, _ = ModelParams.load(workspace / "base/checkpoint.bin")
+        examples = load_jsonl(workspace / "test.jsonl", Vocabulary.load(workspace / "sal/vocab.txt")).examples
+        for i, ex in enumerate(examples[:12]):
+            own = int(predict_batch(sal, config, [ex])[1][0])
+            if with_baseline:
+                other = int(predict_batch(base, config, [ex])[1][0])
+                expected = f"baseline: {other}<br>\nsaliency: {own}"
+            else:
+                expected = f"model: {own}"
+            body = (out / f"heatmap_{i:04d}.html").read_text()
+            block = body.split('<div class="predictions">\n')[1].split("\n</div>")[0]
+            assert block == expected
+
 
 class TestGradcheckCommand:
     def test_passes_and_exits_zero(self, capsys):
         assert run_cli("gradcheck", "--d", "6", "--n", "4", "--examples", "2") == 0
         assert "max rel error" in capsys.readouterr().out
+
+    def test_too_few_smooth_positives_exits_1_with_one_line(self, capsys):
+        assert run_cli("gradcheck", "--n", "40") == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert "of 5 requested" in err
 
 
 class TestUsageErrors:

@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
 from salign import Tensor, grad, ops
 from salign.data import Example, SynthConfig, gen_synthetic
-from salign.loss import SaliencyConfig, task_loss
-from salign.model import ModelConfig, ModelParams, encode_batch
-from salign.training import AdamState, NumericalError, TrainConfig, adam_step, train
+from salign.loss import SaliencyConfig, task_loss, total_cost
+from salign.model import LEVELS, ModelConfig, ModelParams, encode, encode_batch
+from salign.training import AdamState, NumericalError, TrainConfig, _batch_cost, adam_step, train
 
 
 def tiny_sets(seed=0, count=60, vocab=40):
@@ -64,6 +66,32 @@ class TestAdamStep:
             g = 2.0 * (params.x.values - 3.0)
             adam_step(params, {"x": g}, state, cfg)
         assert abs(params.x.values[0] - 3.0) < 0.1
+
+
+class TestBatchCost:
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_equals_mean_single_example_cost(self, mode):
+        """The batched cost training optimizes is the mean of the
+        single-example cost the gradient check verifies."""
+        ds = gen_synthetic(SynthConfig(count=10, vocab_size=40, trigger_count=3,
+                                       min_len=4, max_len=8, seed=5, mode=mode))
+        examples = ds.examples
+        config = ModelConfig(vocab_size=40, embed_dim=4, max_len=7, mode=mode)
+        params = ModelParams(config, seed=3)
+        cfg = TrainConfig(dropout=0.0, saliency=SaliencyConfig(strength=0.5, levels=LEVELS))
+        named = params.tensors()
+
+        batched, _, penalty = _batch_cost(examples, params, config, cfg, None)
+        batched_grads = grad(batched, list(named.values()))
+        singles = [total_cost(encode(ex, params, config), ex, cfg.saliency) for ex in examples]
+        mean = ops.scale(functools.reduce(ops.add, singles), 1.0 / len(examples))
+        mean_grads = grad(mean, list(named.values()))
+
+        assert penalty > 0.0
+        np.testing.assert_allclose(batched.item(), mean.item(), rtol=1e-12, atol=0)
+        for name, t in named.items():
+            np.testing.assert_allclose(batched_grads[t].values, mean_grads[t].values,
+                                       rtol=1e-12, atol=0, err_msg=name)
 
 
 class TestTrainLoop:
