@@ -231,6 +231,10 @@ def save_jsonl(dataset: Dataset, path):
             fh.write(json.dumps(record) + "\n")
 
 
+def _is_string_list(value):
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
 def load_jsonl(path, vocab: Vocabulary | None = None) -> Dataset:
     """Parse a JSONL dataset; with no vocabulary, build one in first-seen
     order. Malformed records fail with their line number."""
@@ -254,6 +258,10 @@ def load_jsonl(path, vocab: Vocabulary | None = None) -> Dataset:
                 query = record.get("query")
             except (KeyError, TypeError):
                 raise ValueError(f"{path} line {lineno}: missing required field") from None
+            if not _is_string_list(tokens):
+                raise ValueError(f"{path} line {lineno}: tokens must be a list of strings")
+            if query is not None and not _is_string_list(query):
+                raise ValueError(f"{path} line {lineno}: query must be a list of strings")
             if label not in (0, 1):
                 raise ValueError(f"{path} line {lineno}: label must be 0 or 1")
             if label == 0 and marked:

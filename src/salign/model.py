@@ -7,6 +7,11 @@ embedding dimensions and classify the concatenation with a single affine
 layer. The query variant additionally encodes the query with the same
 (shared) convolution stack, max-pools it into a single vector, and scales
 every row of the intermediate representation by that vector.
+
+All of a batch's queries go through the query tower in one pass: they are
+right-padded to the longest, the padded rows are zeroed before the
+convolutions and skipped by the pooling, so each query vector equals that
+query encoded alone at its exact length. A single example is a batch of one.
 """
 
 from __future__ import annotations
@@ -224,30 +229,29 @@ def _conv_stack(x, params):
     return combined
 
 
-def _query_repr(query_ids, params, config):
-    """Encode a query at its exact length into a (d,) vector."""
-    if len(query_ids) < 1:
-        raise ValueError("query must contain at least one token")
-    _check_ids(query_ids, config)
-    q_emb = ops.gather_rows(params.embedding, np.asarray(query_ids, dtype=np.int64))
-    return ops.maxpool_axis(_conv_stack(q_emb, params), axis=-2)
+def _query_reprs(queries, params, config):
+    """Encode a batch of queries into (B, d) vectors in one conv-stack pass.
+
+    The padded rows are zeroed, as the trained pad row is not zero: that is
+    the zero padding the same-padded convolution sees past a query's end.
+    """
+    for q in queries:
+        if len(q) < 1:
+            raise ValueError("query must contain at least one token")
+        _check_ids(q, config)
+    lengths = np.array([len(q) for q in queries])
+    ids = np.stack([pad_ids(q, int(lengths.max())) for q in queries])
+    rows = np.arange(ids.shape[1]) < lengths[:, None]
+    valid = np.broadcast_to(rows[..., None], ids.shape + (config.embed_dim,))
+    q_emb = ops.mul(ops.gather_rows(params.embedding, ids), Tensor(valid.astype(np.float64)))
+    return ops.maxpool_axis(_conv_stack(q_emb, params), axis=-2, valid=valid)
 
 
-def _classify(embedded, params, config, queries, dropout_mask, query_repr_override):
-    """Shared forward; embedded is (n, d) or (B, n, d)."""
+def _classify(embedded, params, config, query_vec, dropout_mask):
+    """Shared forward; embedded is (n, d) or (B, n, d), query_vec (d,) or
+    (B, d) in qa mode and None in event mode."""
     intermediate = _conv_stack(embedded, params)
-    query_vec = None
-    if config.mode == "qa":
-        if query_repr_override is not None:
-            query_vec = query_repr_override
-        elif embedded.ndim == 2:
-            query_vec = _query_repr(queries, params, config)
-        else:
-            reprs = [
-                ops.reshape(_query_repr(q, params, config), (1, config.embed_dim))
-                for q in queries
-            ]
-            query_vec = ops.concat_first(*reprs)
+    if query_vec is not None:
         intermediate = ops.mul_rows(intermediate, query_vec)
     seq_max = ops.maxpool_axis(intermediate, axis=-2)
     dim_max = ops.maxpool_axis(intermediate, axis=-1)
@@ -271,7 +275,12 @@ def encode(example, params, config, dropout_mask=None, query_repr_override=None)
     if query is not None or query_repr_override is None:  # an override stands in for a qa query
         _check_query(query, config)
     embedded = embed(example.tokens, params, config)
-    return _classify(embedded, params, config, query, dropout_mask, query_repr_override)
+    query_vec = None
+    if config.mode == "qa":
+        query_vec = query_repr_override
+        if query_vec is None:
+            query_vec = ops.reshape(_query_reprs([query], params, config), (config.embed_dim,))
+    return _classify(embedded, params, config, query_vec, dropout_mask)
 
 
 def encode_batch(examples, params, config, dropout_masks=None):
@@ -285,8 +294,10 @@ def encode_batch(examples, params, config, dropout_masks=None):
     for ex in examples:
         _check_query(ex.query, config)
         _check_ids(ex.tokens, config)
-    queries = [ex.query for ex in examples]
     ids = np.stack([pad_ids(ex.tokens, config.max_len) for ex in examples])
     embedded = ops.gather_rows(params.embedding, ids)
-    return _classify(embedded, params, config, queries, dropout_masks, None)
+    query_vec = None
+    if config.mode == "qa":
+        query_vec = _query_reprs([ex.query for ex in examples], params, config)
+    return _classify(embedded, params, config, query_vec, dropout_masks)
 

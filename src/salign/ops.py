@@ -402,62 +402,6 @@ def pad_last(a, lo, total):
     return _node("pad_last", fwd(a.values), (a,), vjp, fwd)
 
 
-def concat_first(*parts):
-    """Concatenate along axis 0; trailing shapes must agree."""
-    parts = tuple(_as_tensor(p) for p in parts)
-    if not parts:
-        raise ValueError("concat_first needs at least one operand")
-    trail = parts[0].shape[1:]
-    for p in parts:
-        if p.shape[1:] != trail:
-            raise ValueError("concat_first: trailing shapes differ")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g, needs):
-        return tuple(
-            slice_first(g, offsets[i], offsets[i + 1]) if needs[i] else None
-            for i in range(len(parts))
-        )
-
-    return _node(
-        "concat_first",
-        np.concatenate([p.values for p in parts], axis=0),
-        parts,
-        vjp,
-        lambda *vs: np.concatenate(vs, axis=0),
-    )
-
-
-def slice_first(a, lo, hi):
-    a = _as_tensor(a)
-    lo, hi = int(lo), int(hi)
-    total = a.shape[0]
-
-    def vjp(g, needs):
-        return (pad_first(g, lo, total),)
-
-    return _node(
-        "slice_first", a.values[lo:hi].copy(), (a,), vjp, lambda va: va[lo:hi].copy()
-    )
-
-
-def pad_first(a, lo, total):
-    a = _as_tensor(a)
-    lo, total = int(lo), int(total)
-    k = a.shape[0]
-
-    def fwd(va):
-        out = np.zeros((total,) + va.shape[1:])
-        out[lo : lo + k] = va
-        return out
-
-    def vjp(g, needs):
-        return (slice_first(g, lo, lo + k),)
-
-    return _node("pad_first", fwd(a.values), (a,), vjp, fwd)
-
-
 def shift_rows(a, offset):
     """Shift rows (axis -2) by offset, filling vacated rows with zeros."""
     a = _as_tensor(a)
@@ -551,24 +495,36 @@ def scatter_rows(src, ids, nrows):
 # pooling
 
 
-def maxpool_axis(a, axis):
+def maxpool_axis(a, axis, valid=None):
     """Max along one axis (axis removed). Backward routes the whole upstream
     gradient to the argmax of each pooled group; ties pick the lowest index,
-    and the routing is frozen at forward time."""
+    and the routing is frozen at forward time.
+
+    valid, a boolean array of a's shape, restricts each group to its true
+    entries; every group needs at least one."""
     a = _as_tensor(a)
     axis = axis if axis >= 0 else a.ndim + axis
     if not 0 <= axis < a.ndim:
         raise ValueError(f"maxpool_axis: bad axis {axis} for shape {a.shape}")
-    idx = np.argmax(a.values, axis=axis)
-    size = a.shape[axis]
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != a.shape or not valid.any(axis=axis).all():
+            raise ValueError(f"maxpool_axis: valid needs shape {a.shape}, a true entry per group")
+
+    def masked(va):
+        return va if valid is None else np.where(valid, va, -np.inf)
 
     def fwd(va):
-        return np.max(va, axis=axis)
+        return np.max(masked(va), axis=axis)
+
+    candidates = masked(a.values)
+    idx = np.argmax(candidates, axis=axis)
+    size = a.shape[axis]
 
     def vjp(g, needs):
         return (place_along_axis(g, idx, axis, size),)
 
-    return _node("maxpool_axis", fwd(a.values), (a,), vjp, fwd)
+    return _node("maxpool_axis", np.max(candidates, axis=axis), (a,), vjp, fwd)
 
 
 def place_along_axis(src, idx, axis, size):

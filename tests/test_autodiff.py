@@ -218,6 +218,83 @@ class TestMaxPool:
             ops.maxpool_axis(Tensor(np.zeros((2, 2))), axis=5)
 
 
+class TestMaskedMaxPool:
+    """maxpool_axis(..., valid=mask): the max and its routing over true entries only."""
+
+    @staticmethod
+    def draw(seed):
+        # ragged groups along axis 1, each with at least one valid entry
+        rng = np.random.default_rng(seed)
+        valid = np.arange(6)[None, :, None] < np.array([1, 6, 3, 4])[:, None, None]
+        valid = np.broadcast_to(valid, (4, 6, 5))
+        vals = resample_until_smooth(
+            lambda attempt: rng.normal(size=(4, 6, 5)),
+            lambda v: pool_margin(np.where(valid, v, -1e9), axis=1),
+        )
+        return vals, valid
+
+    def test_values_and_routing_skip_invalid_entries(self):
+        vals, valid = self.draw(11)
+        vals[~valid] = 100.0  # would win every group if it were pooled
+        x = Tensor(vals)
+        pooled = ops.maxpool_axis(x, axis=1, valid=valid)
+        np.testing.assert_array_equal(pooled.values, np.where(valid, vals, -np.inf).max(axis=1))
+        g = grad(ops.sum_all(pooled), [x])[x].values
+        assert np.all(g[~valid] == 0.0)
+        np.testing.assert_array_equal(g.sum(axis=1), np.ones((4, 5)))
+
+    def test_gradient_matches_finite_differences_away_from_ties(self):
+        vals, valid = self.draw(12)
+        upstream = Tensor(np.random.default_rng(13).normal(size=(4, 5)))
+
+        def f(xt):
+            return ops.sum_all(ops.mul(ops.maxpool_axis(xt, axis=1, valid=valid), upstream))
+
+        assert finite_diff_check(f, Tensor(vals), eps=1e-4) < 1e-5
+
+    def test_second_order_matches_finite_differences(self):
+        vals, valid = self.draw(14)
+        weights = Tensor(np.random.default_rng(15).normal(size=vals.shape))
+
+        def first_grad(xt):
+            pooled = ops.maxpool_axis(xt, axis=1, valid=valid)
+            return grad(ops.sum_all(ops.mul(pooled, pooled)), [xt], create_graph=True)[xt]
+
+        def g_fn(xt):
+            return ops.sum_all(ops.mul(first_grad(xt), weights))
+
+        # the routing is frozen, so g is linear in x and its gradient is
+        # 2 * weights at each group's valid argmax
+        assert finite_diff_check(g_fn, Tensor(vals), eps=1e-4) < 1e-5
+        x = Tensor(vals)
+        g2 = grad(g_fn(x), [x])[x].values
+        assert np.all(g2[~valid] == 0.0)
+        assert np.count_nonzero(g2) == 4 * 5
+
+    def test_all_true_mask_is_the_unmasked_op_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        vals = rng.normal(size=(3, 7, 4))
+        vals[0, 2] = vals[0, 5]  # a tie, so the lowest-index rule is exercised
+        for axis in (0, 1, -1):
+            upstream = None
+            results = []
+            for valid in (None, np.ones(vals.shape, dtype=bool)):
+                x = Tensor(vals)
+                pooled = ops.maxpool_axis(x, axis=axis, valid=valid)
+                if upstream is None:
+                    upstream = Tensor(rng.normal(size=pooled.shape))
+                g = grad(ops.sum_all(ops.mul(pooled, upstream)), [x])[x]
+                results.append((pooled.values.tobytes(), g.values.tobytes()))
+            assert results[0] == results[1]
+
+    def test_bad_mask_rejected(self):
+        x = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            ops.maxpool_axis(x, axis=1, valid=np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="a true entry per group"):
+            ops.maxpool_axis(x, axis=1, valid=np.array([[True, False, False], [False] * 3]))
+
+
 class TestSecondOrder:
     def test_grad_of_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -101,6 +102,20 @@ class TestEvalVerifyCompare:
     def test_missing_checkpoint_exits_1(self, workspace):
         assert run_cli("eval", "--checkpoint", "missing.bin",
                        "--data", str(workspace / "test.jsonl")) == 1
+
+    @pytest.mark.parametrize("field", ["tokens", "query"])
+    def test_string_field_exits_1_with_one_line(self, workspace, tmp_path, capsys, field):
+        record = {"tokens": ["w4", "w5"], "query": ["w6"], "label": 1, "rationale": [0]}
+        record[field] = "abc"
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps(record) + "\n")
+        assert run_cli("eval", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
+                       "--data", str(data)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {data} line 1: {field} must be a list of strings"
+        ]
 
 
 class TestSaliencyCommand:

@@ -193,6 +193,18 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("tokens", "abc"), ("tokens", ["a", 5]), ("tokens", None),
+        ("query", "abc"), ("query", ["q", ["r"]]), ("query", {}),
+    ])
+    def test_non_list_of_strings_rejected(self, tmp_path, field, value):
+        good = {"tokens": ["a", "b"], "query": ["q"], "label": 0, "rationale": []}
+        bad = dict(good, **{field: value})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: {field} must be a list of strings"):
+            load_jsonl(path)
+
     def test_fixed_vocab_maps_unknowns(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"tokens":["w4","mystery"],"label":1,"rationale":[0]}\n')

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from salign import Tensor, grad, ops
+from salign import Graph, Tensor, grad, ops
 from salign.data import Example
 from salign.evaluation import predict_batch
 from salign.model import (
     LEVELS,
     ModelConfig,
     ModelParams,
+    _conv_stack,
+    _query_reprs,
     embed,
     encode,
     encode_batch,
@@ -236,6 +238,86 @@ class TestBatchedEncode:
         config = ModelConfig(vocab_size=25, embed_dim=6, max_len=9)
         with pytest.raises(ValueError):
             encode_batch([], ModelParams(config, seed=0), config)
+
+
+class TestBatchedQueryTower:
+    """The batched query tower against a per-example loop over exact lengths."""
+
+    @staticmethod
+    def alone(query, params):
+        """One query through the conv stack at its exact length, no padding."""
+        q_emb = ops.gather_rows(params.embedding, np.asarray(query, dtype=np.int64))
+        return ops.maxpool_axis(_conv_stack(q_emb, params), axis=-2)
+
+    def setup_method(self):
+        # max_len 4, so the length-7 query is longer than any sentence
+        self.config = ModelConfig(vocab_size=20, embed_dim=5, max_len=4, mode="qa")
+        self.params = ModelParams(self.config, seed=7)
+        # a large bias makes every padded position's conv output relu(bias)
+        # plus the pad row's contribution, above most real positions
+        for w in self.params.kernels:
+            self.params.kernels[w][1].values[...] = 3.0
+        self.params.embedding.values[0] = 2.0  # a trained pad row is not zero
+        rng = np.random.default_rng(3)
+        lengths = [1, 7, 3, 1, 5, 2]
+        self.examples = [
+            example(rng.integers(3, 20, size=rng.integers(1, 5)).tolist(), label=i % 2,
+                    query=rng.integers(3, 20, size=m).tolist(), marked=(0,))
+            for i, m in enumerate(lengths)
+        ]
+
+    def test_rows_equal_each_query_alone(self):
+        queries = [ex.query for ex in self.examples]
+        batched = _query_reprs(queries, self.params, self.config).values
+        reference = np.stack([self.alone(q, self.params).values for q in queries])
+        np.testing.assert_array_equal(batched, reference)
+        # the set-up is sensitive: pooling over the padded positions, or
+        # leaving the pad row in, would change the short queries' rows
+        width = max(len(q) for q in queries)
+        ids = np.stack([pad_ids(q, width) for q in queries])
+        stack = _conv_stack(ops.gather_rows(self.params.embedding, ids), self.params)
+        assert not np.allclose(ops.maxpool_axis(stack, axis=-2).values, reference)
+        rows = np.arange(width) < np.array([len(q) for q in queries])[:, None]
+        valid = np.broadcast_to(rows[..., None], stack.shape)
+        assert not np.allclose(ops.maxpool_axis(stack, axis=-2, valid=valid).values, reference)
+
+    def test_logits_and_level_gradients_match_per_example_path(self):
+        batch = encode_batch(self.examples, self.params, self.config)
+        targets = [batch.level_tensor(level) for level in LEVELS]
+        batch_grads = grad(ops.sum_all(batch.logit), targets)
+        for i, ex in enumerate(self.examples):
+            single = encode(ex, self.params, self.config,
+                            query_repr_override=self.alone(ex.query, self.params))
+            np.testing.assert_allclose(batch.logit.values[i], single.logit.item(),
+                                       rtol=1e-12, atol=1e-12)
+            single_targets = [single.level_tensor(level) for level in LEVELS]
+            single_grads = grad(single.logit, single_targets)
+            for level, b, s in zip(LEVELS, targets, single_targets):
+                np.testing.assert_allclose(batch_grads[b].values[i], single_grads[s].values,
+                                           rtol=1e-12, atol=1e-12, err_msg=level)
+
+    def test_empty_query_rejected(self):
+        with pytest.raises(ValueError, match="at least one token"):
+            encode_batch([example([4], query=[5]), example([5], query=[])], self.params,
+                         self.config)
+        with pytest.raises(ValueError, match="outside vocabulary"):
+            encode_batch([example([4], query=[3, 25])], self.params, self.config)
+
+    def test_forward_node_count_does_not_grow_with_batch(self):
+        config = ModelConfig(vocab_size=25, embed_dim=4, max_len=6, mode="qa")
+        params = ModelParams(config, seed=0)
+        rng = np.random.default_rng(2)
+        examples = [
+            example(rng.integers(3, 25, size=5).tolist(),
+                    query=rng.integers(3, 25, size=rng.integers(1, 8)).tolist())
+            for _ in range(32)
+        ]
+        counts = []
+        for batch in (examples[:1], examples):
+            with Graph() as tape:
+                encode_batch(batch, params, config)
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1]
 
 
 class TestPredict:

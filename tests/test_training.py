@@ -5,6 +5,7 @@ import pytest
 
 from salign import Tensor, grad, ops
 from salign.data import Example, SynthConfig, gen_synthetic
+from salign.gradcheck import finite_diff_check_many, select_smooth_positives
 from salign.loss import SaliencyConfig, task_loss, total_cost
 from salign.model import LEVELS, ModelConfig, ModelParams, encode, encode_batch
 from salign.training import AdamState, NumericalError, TrainConfig, _batch_cost, adam_step, train
@@ -92,6 +93,28 @@ class TestBatchCost:
         for name, t in named.items():
             np.testing.assert_allclose(batched_grads[t].values, mean_grads[t].values,
                                        rtol=1e-12, atol=0, err_msg=name)
+
+    def test_qa_padded_batch_passes_second_order_gradcheck(self):
+        """Every parameter gradient of the qa batch cost, through the padded
+        query tower and the double backward, against central differences."""
+        config = ModelConfig(vocab_size=12, embed_dim=8, max_len=6, mode="qa")
+        params = ModelParams(config, seed=0)
+        saliency = SaliencyConfig(strength=0.5, levels=LEVELS)
+        cfg = TrainConfig(dropout=0.0, saliency=saliency)
+        corpus = gen_synthetic(SynthConfig(count=200, vocab_size=12, trigger_count=2, min_len=3,
+                                           max_len=6, seed=1, mode="qa"))
+        by_length = {}
+        for ex in corpus.examples:
+            by_length.setdefault(len(ex.query), []).append(ex)
+        batch = [select_smooth_positives(params, config, by_length[m], saliency, 1)[0]
+                 for m in sorted(by_length)]
+        assert [len(ex.query) for ex in batch] == [3, 4, 5, 6, 7]  # 7 exceeds max_len
+
+        def cost():
+            return _batch_cost(batch, params, config, cfg, None)[0]
+
+        worst, _ = finite_diff_check_many(cost, params.tensors(), eps=1e-4)
+        assert worst < 1e-4
 
 
 class TestTrainLoop:
