@@ -30,10 +30,11 @@ out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 shown = [(i, ex) for i, ex in enumerate(test_set.examples) if ex.label == 1][:8]
-hard = {tag: predict_batch(trained[tag], config, [ex for _, ex in shown])[1] for tag in trained}
-for row, (i, ex) in enumerate(shown):
-    report = saliency_report(trained["saliency"], config, ex, corpus.vocab, k=6)
-    predictions = {tag: int(hard[tag][row]) for tag in ("baseline", "saliency")}
+examples = [ex for _, ex in shown]
+reports, own = saliency_report(trained["saliency"], config, examples, corpus.vocab, k=6)
+_, base = predict_batch(trained["baseline"], config, examples)
+for (i, ex), report, mine, theirs in zip(shown, reports, own, base):
+    predictions = {"baseline": int(theirs), "saliency": int(mine)}
     page = render_heatmap(ex, report, predictions, k=6)
     (out_dir / f"heatmap_{i:03d}.html").write_text(page, encoding="utf-8")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,18 +191,20 @@ def _load_model(checkpoint, vocab_path):
     return params, config, vocab
 
 
+def _emit(text, out):
+    """Print a command's report and, given --out, write it there too,
+    creating the parent directory."""
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text, encoding="utf-8")
+    print(text, end="")
+    return 0
+
+
 def _dataset_for(config, path, vocab):
+    """The dataset and the model config switched to the dataset's mode."""
     dataset = load_jsonl(path, vocab)
-    mode = "qa" if dataset.mode == "qa" else "event"
-    if mode != config.mode:
-        config = ModelConfig(
-            vocab_size=config.vocab_size,
-            embed_dim=config.embed_dim,
-            max_len=config.max_len,
-            window_sizes=config.window_sizes,
-            mode=mode,
-        )
-    return dataset, config
+    return dataset, replace(config, mode=dataset.mode)
 
 
 def cmd_synth(run: RunConfig):
@@ -253,11 +255,9 @@ def cmd_train(run: RunConfig):
     params = ModelParams(config, seed=cfg.seed)
     if run["embeddings"] is not None:
         _require_file(run["embeddings"], "embeddings file")
-        dim, table, covered = load_embeddings(
+        _, table, covered = load_embeddings(
             run["embeddings"], train_set.vocab, dim=config.embed_dim, seed=cfg.seed
         )
-        if dim != config.embed_dim:
-            raise ValueError(f"embeddings are {dim}-dimensional, model wants {config.embed_dim}")
         params.embedding.values[...] = table
         print(f"initialized {covered} embedding rows from file")
     params, log = train(config, train_set, dev_set, cfg, params=params)
@@ -276,12 +276,7 @@ def cmd_eval(run: RunConfig):
     _require_file(run["data"], "dataset")
     dataset, config = _dataset_for(config, run["data"], vocab)
     report = evaluate_model(params, config, dataset)
-    text = serialize_metrics(report)
-    if run["out"]:
-        Path(run["out"]).parent.mkdir(parents=True, exist_ok=True)
-        Path(run["out"]).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return 0
+    return _emit(serialize_metrics(report), run["out"])
 
 
 def cmd_saliency(run: RunConfig):
@@ -294,11 +289,10 @@ def cmd_saliency(run: RunConfig):
     out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
     examples = dataset.examples[: run["limit"]]
-    _, own = predict_batch(params, config, examples)
+    reports, own = saliency_report(params, config, examples, vocab, k=run["k"])
     if baseline is not None:
         _, other = predict_batch(baseline, config, examples)
-    for i, ex in enumerate(examples):
-        rep = saliency_report(params, config, ex, vocab, k=run["k"])
+    for i, (ex, rep) in enumerate(zip(examples, reports)):
         if baseline is not None:
             predictions = {"baseline": int(other[i]), "saliency": int(own[i])}
         else:
@@ -318,12 +312,7 @@ def cmd_verify(run: RunConfig):
     if not positives:
         raise ValueError("dataset has no marked positive examples")
     report = verify_tpr_drop(params, config, positives)
-    text = serialize_verification(report)
-    if run["out"]:
-        Path(run["out"]).parent.mkdir(parents=True, exist_ok=True)
-        Path(run["out"]).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return 0
+    return _emit(serialize_verification(report), run["out"])
 
 
 def cmd_gradcheck(run: RunConfig):
@@ -353,15 +342,8 @@ def cmd_compare(run: RunConfig):
     _, pred_b = predict_batch(params_b, config, dataset.examples)
     a_only = int(np.sum((pred_a == labels) & (pred_b != labels)))
     b_only = int(np.sum((pred_b == labels) & (pred_a != labels)))
-    if a_only + b_only == 0:
-        text = f"b = {a_only}\nc = {b_only}\np = nan\n"
-    else:
-        p = mcnemar_one_sided(a_only, b_only)
-        text = f"b = {a_only}\nc = {b_only}\np = {p:.6g}\n"
-    if run["out"]:
-        Path(run["out"]).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return 0
+    p = f"{mcnemar_one_sided(a_only, b_only):.6g}" if a_only + b_only else "nan"
+    return _emit(f"b = {a_only}\nc = {b_only}\np = {p}\n", run["out"])
 
 
 _HANDLERS = {

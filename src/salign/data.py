@@ -289,7 +289,8 @@ def load_embeddings(path, vocab: Vocabulary, dim=None, seed=0):
 
     Each line holds a token followed by its vector. Covered vocabulary rows
     take the file's values, the rest keep the model's default scheme.
-    Returns (dim, table, coverage count).
+    Returns (dim, table, coverage count). A line with the wrong number of
+    values, a non-numeric or a non-finite value fails with its line number.
     """
     rows = {}
     with open(path, encoding="utf-8") as fh:
@@ -302,7 +303,12 @@ def load_embeddings(path, vocab: Vocabulary, dim=None, seed=0):
                 dim = len(vals)
             if len(vals) != dim:
                 raise ValueError(f"{path} line {lineno}: expected {dim} values, got {len(vals)}")
-            rows[token] = np.array([float(v) for v in vals])
+            try:
+                rows[token] = np.array([float(v) for v in vals])
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: non-numeric value") from None
+            if not np.isfinite(rows[token]).all():
+                raise ValueError(f"{path} line {lineno}: non-finite value")
     if dim is None:
         raise ValueError("empty embeddings file and no dim given")
     from .model import default_embedding_table

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .engine import grad, no_grad
+from .engine import grad, no_grad, set_grad_enabled
 from .model import LEVELS, encode_batch
 
 
@@ -77,73 +77,70 @@ def saliency_accuracy(G, Z):
     return 100.0 * hits / marked
 
 
-def predict_batch(params, config, examples, chunk=256):
-    """(probabilities, hard labels) for a list of examples, dropout off."""
-    probs = []
+def _threshold(logits):
+    """(probabilities, hard labels) for a list of logit chunks; the one
+    threshold rule behind predict_batch and saliency_scores."""
     with no_grad():
-        for lo in range(0, len(examples), chunk):
-            part = examples[lo : lo + chunk]
-            trace = encode_batch(part, params, config)
-            logits = np.atleast_1d(trace.logit.values)
-            probs.append(ops.sigmoid(logits).values)
-    probs = np.concatenate(probs) if probs else np.zeros(0)
+        probs = ops.sigmoid(np.concatenate(logits)).values if logits else np.zeros(0)
     return probs, (probs >= 0.5).astype(np.int64)
 
 
-def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
-    """Per-token score gradients for each example at each level.
+def predict_batch(params, config, examples, chunk=256):
+    """(probabilities, hard labels) for a list of examples, dropout off."""
+    logits = []
+    with no_grad():
+        for lo in range(0, len(examples), chunk):
+            trace = encode_batch(examples[lo : lo + chunk], params, config)
+            logits.append(np.atleast_1d(trace.logit.values))
+    return _threshold(logits)
 
-    Returns one dict per example mapping level -> array over the true
-    (unpadded, possibly truncated) token positions. Dropout is disabled, so
-    the result is deterministic.
+
+def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
+    """Per-token score gradients and hard labels from one batched forward
+    and backward pass per chunk, dropout off.
+
+    Returns (scores, labels): one dict per example mapping level -> array
+    over its true (unpadded, possibly truncated) token positions, and the
+    labels predict_batch would give, thresholded from the same logits.
     """
-    out = []
+    out, logits = [], []
     levels = tuple(levels)
     for lo in range(0, len(examples), chunk):
         part = examples[lo : lo + chunk]
-        trace = encode_batch(part, params, config)
+        with set_grad_enabled(bool(levels)):
+            trace = encode_batch(part, params, config)
+        logits.append(np.atleast_1d(trace.logit.values))
         targets = [trace.level_tensor(level) for level in levels]
         grads = grad(ops.sum_all(trace.logit), targets)
         per_level = {}
-        for level in levels:
-            g = grads[trace.level_tensor(level)].values
+        for level, target in zip(levels, targets):
+            g = grads[target].values
             per_level[level] = g.sum(axis=-1) if g.ndim == 3 else g
         for row, ex in enumerate(part):
             n = min(len(ex.tokens), config.max_len)
             out.append({level: per_level[level][row, :n].copy() for level in levels})
-    return out
-
-
-def dataset_saliency_accuracy(params, config, examples, levels=LEVELS, chunk=128):
-    """Micro-aggregated alignment accuracy over a dataset.
-
-    Equals the single-example formula applied to the concatenated marked
-    positions; examples with an all-zero mask contribute nothing.
-    """
-    levels = tuple(levels)
-    if not levels:
-        return {}
-    hits = {level: 0 for level in levels}
-    marked_total = 0
-    scored = saliency_scores(params, config, examples, levels, chunk)
-    for ex, grads in zip(examples, scored):
-        mask = np.array(ex.rationale[: config.max_len], dtype=np.float64)
-        marked = int(mask.sum())
-        if marked == 0:
-            continue
-        marked_total += marked
-        for level in levels:
-            hits[level] += int(((mask > 0) & (grads[level] > 0)).sum())
-    if marked_total == 0:
-        return {level: None for level in levels}
-    return {level: 100.0 * hits[level] / marked_total for level in levels}
+    return out, _threshold(logits)[1]
 
 
 def evaluate_model(params, config, dataset, levels=LEVELS, chunk=128) -> MetricsReport:
-    """Classification metrics plus per-level alignment accuracy."""
-    _, predicted = predict_batch(params, config, dataset.examples, chunk)
-    report = classification_metrics(predicted.tolist(), [ex.label for ex in dataset.examples])
-    report.s_acc = dataset_saliency_accuracy(params, config, dataset.examples, levels, chunk)
+    """Classification metrics plus per-level alignment accuracy, from one
+    forward pass per chunk.
+
+    Alignment accuracy is micro-aggregated: the single-example formula over
+    all marked positions of the dataset, so examples with an all-zero mask
+    contribute nothing; a level is None when nothing is marked.
+    """
+    examples = dataset.examples
+    scored, predicted = saliency_scores(params, config, examples, levels, chunk)
+    report = classification_metrics(predicted.tolist(), [ex.label for ex in examples])
+    hits = dict.fromkeys(levels, 0)
+    marked = 0
+    for ex, grads in zip(examples, scored):
+        mask = np.array(ex.rationale[: config.max_len]) > 0
+        marked += int(mask.sum())
+        for level in hits:
+            hits[level] += int((mask & (grads[level] > 0)).sum())
+    report.s_acc = {level: 100.0 * h / marked if marked else None for level, h in hits.items()}
     return report
 
 
@@ -216,14 +213,16 @@ def _rank_by_magnitude(values):
     return [i for i in order if abs(values[i]) > 0]
 
 
-def saliency_report(params, config, example, vocab, levels=LEVELS, k=6) -> SaliencyReport:
-    """Per-token gradients of one example with dropout disabled."""
-    per_level = saliency_scores(params, config, [example], levels)[0]
-    word = per_level.get("word", next(iter(per_level.values())))
-    tokens = [vocab.token_for(t) for t in example.tokens[: config.max_len]]
-    return SaliencyReport(
-        tokens=tokens, grads=per_level, top_indices=_rank_by_magnitude(word)[:k]
-    )
+def saliency_report(params, config, examples, vocab, levels=LEVELS, k=6):
+    """Per-token gradients of each example, dropout off, from one batched
+    pass per chunk. Returns (one SaliencyReport per example, hard labels)."""
+    scored, labels = saliency_scores(params, config, examples, levels)
+    reports = []
+    for ex, per_level in zip(examples, scored):
+        word = per_level.get("word", next(iter(per_level.values())))
+        tokens = [vocab.token_for(t) for t in ex.tokens[: config.max_len]]
+        reports.append(SaliencyReport(tokens, per_level, _rank_by_magnitude(word)[:k]))
+    return reports, labels
 
 
 def top_k_salient(report: SaliencyReport, k=6):

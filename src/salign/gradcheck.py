@@ -11,6 +11,8 @@ import numpy as np
 
 from . import ops
 from .engine import grad, no_grad
+from .evaluation import saliency_scores
+from .model import pad_ids
 
 
 def finite_diff_check(f, x, eps=1e-4):
@@ -124,10 +126,8 @@ def model_kink_margin(params, config, example, saliency_cfg=None):
     """Distance of one example's forward (and hinge inputs) to the nearest
     relu / elementwise-max / max-pool / hinge kink under the current
     parameters. Used to resample gradient-check inputs per the smoothness
-    rule."""
-    from .loss import padded_mask, token_saliency
-    from .model import encode, pad_ids
-
+    rule. The hinge inputs are the marked tokens' per-level gradients, all
+    levels from one saliency_scores backward pass."""
     emb = params.embedding.values
     x = emb[pad_ids(example.tokens, config.max_len)]
     margin, intermediate = _tower_margins(x, params)
@@ -141,14 +141,10 @@ def model_kink_margin(params, config, example, saliency_cfg=None):
         _pool_margin_unique(intermediate, 0),
         _pool_margin_unique(intermediate, 1),
     )
-    if saliency_cfg is not None and saliency_cfg.enabled:
-        trace = encode(example, params, config)
-        mask = padded_mask(example, config.max_len)
-        for level in saliency_cfg.levels:
-            g = token_saliency(trace.level_tensor(level), trace.logit).values
-            marked = g[mask > 0]
-            if marked.size:
-                margin = min(margin, float(np.min(np.abs(marked))))
+    marked = np.array(example.rationale[: config.max_len]) > 0
+    if saliency_cfg is not None and saliency_cfg.enabled and marked.any():
+        (scores,), _ = saliency_scores(params, config, [example], saliency_cfg.levels)
+        margin = min([margin] + [float(np.min(np.abs(g[marked]))) for g in scores.values()])
     return margin
 
 

@@ -47,6 +47,8 @@ class ModelConfig:
         if self.embed_dim < 1 or self.max_len < 1:
             raise ValueError("embed_dim and max_len must be positive")
         self.window_sizes = tuple(int(w) for w in self.window_sizes)
+        if not self.window_sizes:
+            raise ValueError("need at least one window size")
         for w in self.window_sizes:
             if w < 1 or w % 2 == 0:
                 raise ValueError(f"window sizes must be odd, got {w}")
@@ -108,21 +110,39 @@ class ModelParams:
 
     @classmethod
     def load(cls, path, mode="event"):
-        """Rebuild params and a matching config from a checkpoint file."""
+        """Rebuild params and a matching config from a checkpoint file.
+
+        The embedding, out_weight and conv kernel shapes fix the config; the
+        file must then hold exactly that model's tensors at their shapes.
+        Anything else is a ValueError naming the file and the tensor.
+        """
         arrays = load_checkpoint(path)
+        for name, ndim in (("embedding", 2), ("out_weight", 1)):
+            if name not in arrays or arrays[name].ndim != ndim:
+                raise ValueError(f"checkpoint {path}: tensor {name} missing or not {ndim}-D")
         vocab_size, d = arrays["embedding"].shape
         windows = sorted(
             int(m.group(1)) for name in arrays if (m := re.match(r"conv(\d+)_kernel$", name))
         )
-        n_max = arrays["out_weight"].shape[0] - d
-        config = ModelConfig(
-            vocab_size=vocab_size,
-            embed_dim=d,
-            max_len=n_max,
-            window_sizes=tuple(windows),
-            mode=mode,
-        )
+        try:
+            config = ModelConfig(
+                vocab_size=vocab_size,
+                embed_dim=d,
+                max_len=arrays["out_weight"].shape[0] - d,
+                window_sizes=tuple(windows),
+                mode=mode,
+            )
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: its tensor shapes fit no model: {exc}") from None
         params = cls(config, seed=0)
+        got = {name: a.shape for name, a in arrays.items()}
+        want = {name: t.shape for name, t in params.tensors().items()}
+        for name in [*want, *got]:
+            if got.get(name) != want.get(name):
+                raise ValueError(
+                    f"checkpoint {path}: tensor {name} is {got.get(name, 'missing')} in the file "
+                    f"but {want.get(name, 'absent')} in the model"
+                )
         params.set_values(arrays)
         return params, config
 
@@ -142,23 +162,33 @@ def save_checkpoint(tensors, path):
 
 
 def load_checkpoint(path):
+    """Name -> float64 array. A malformed header line, a repeated name, a
+    data section shorter or longer than the header's tensors, or a
+    non-finite value is a ValueError naming the file and the tensor."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    cut = raw.index(b"\n\n")
-    entries = []
-    for line in raw[:cut].decode("ascii").splitlines():
-        parts = line.split()
-        entries.append((parts[0], tuple(int(s) for s in parts[1:])))
-    blob = raw[cut + 2 :]
+    head, blank, blob = raw.partition(b"\n\n")
+    if not blank:
+        raise ValueError(f"checkpoint {path}: no blank line after the header")
     arrays = {}
     offset = 0
-    for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
+    name = "(none)"
+    for line in head.decode("ascii", "replace").splitlines():
+        name, *dims = line.split() or ["(blank)"]
+        if name in arrays or not all(s.isdigit() for s in dims):
+            raise ValueError(f"checkpoint {path}: bad header line for tensor {name}")
+        shape = tuple(int(s) for s in dims)
+        count = int(np.prod(shape))
+        if offset + 8 * count > len(blob):
+            raise ValueError(f"checkpoint {path}: data section ends inside tensor {name}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"checkpoint {path}: tensor {name} holds a non-finite value")
+        offset += 8 * count
     if offset != len(blob):
-        raise ValueError(f"checkpoint {path}: trailing bytes")
+        extra = len(blob) - offset
+        raise ValueError(f"checkpoint {path}: {extra} bytes of data after the last tensor {name}")
     return arrays
 
 

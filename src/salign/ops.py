@@ -589,29 +589,6 @@ def conv1d_same(x, kernel, bias):
     return add_vec_last(matmul_last(windows, flat_kernel), bias)
 
 
-# ---------------------------------------------------------------------------
-# generic dispatch (contract surface)
-
-_ELEMENTWISE = {
-    "add": add,
-    "mul": mul,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "concat-last-axis": concat_last,
-    "sum-all": sum_all,
-    "scale": scale,
-}
-
-
-def elementwise(kind, *operands):
-    """Dispatch by kind name; see _ELEMENTWISE for the supported set."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"elementwise: unknown kind {kind!r}") from None
-    return fn(*operands)
-
-
 # Arithmetic sugar on Tensor.
 Tensor.__add__ = lambda self, other: add(self, other)
 Tensor.__radd__ = lambda self, other: add(self, other)

@@ -113,14 +113,12 @@ class TestElementwise:
         with pytest.raises(ValueError):
             ops.concat_last(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
 
-    def test_elementwise_dispatcher(self):
-        assert ops.elementwise("relu", Tensor([-3.0])).values[0] == 0.0
-        assert ops.elementwise("sum-all", Tensor([1.0, 2.0])).values == 3.0
-        assert ops.elementwise("scale", Tensor([2.0]), 0.5).values[0] == 1.0
-        got = ops.elementwise("concat-last-axis", Tensor([1.0]), Tensor([2.0]))
+    def test_relu_sum_all_scale_concat(self):
+        assert ops.relu(Tensor([-3.0])).values[0] == 0.0
+        assert ops.sum_all(Tensor([1.0, 2.0])).values == 3.0
+        assert ops.scale(Tensor([2.0]), 0.5).values[0] == 1.0
+        got = ops.concat_last(Tensor([1.0]), Tensor([2.0]))
         assert list(got.values) == [1.0, 2.0]
-        with pytest.raises(ValueError):
-            ops.elementwise("nope", Tensor([1.0]))
 
     def test_softplus_gradient_is_sigmoid(self):
         x = Tensor([0.7, -1.3])

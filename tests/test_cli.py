@@ -8,7 +8,7 @@ import pytest
 from salign.cli import main
 from salign.data import Example, SynthConfig, Vocabulary, gen_synthetic, load_jsonl
 from salign.evaluation import SaliencyReport, predict_batch, saliency_report
-from salign.model import ModelConfig, ModelParams
+from salign.model import ModelConfig, ModelParams, save_checkpoint
 from salign.report import render_heatmap
 
 
@@ -117,6 +117,79 @@ class TestEvalVerifyCompare:
             f"error: {data} line 1: {field} must be a list of strings"
         ]
 
+    def test_compare_out_creates_parent_directory(self, workspace, tmp_path, capsys):
+        out = tmp_path / "newdir" / "cmp.txt"
+        assert run_cli("compare", "--checkpoint-a", str(workspace / "base/checkpoint.bin"),
+                       "--checkpoint-b", str(workspace / "sal/checkpoint.bin"),
+                       "--data", str(workspace / "test.jsonl"), "--out", str(out)) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_eval_runs_one_forward_pass_per_chunk(self, workspace, passes):
+        assert run_cli("eval", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
+                       "--data", str(workspace / "test.jsonl")) == 0
+        assert passes["forward"] == [(80, True)]
+        assert passes["backward"] == 1
+
+
+def corrupt(raw, case):
+    """A trained checkpoint's bytes, broken in one way; out_bias (1,) is the
+    last tensor, so its 8 bytes end the file."""
+    head, _, blob = raw.partition(b"\n\n")
+    if case == "missing":
+        return head.replace(b"\nout_bias 1", b"") + b"\n\n" + blob[:-8]
+    if case == "extra":
+        return head + b"\nextra_bias 2\n\n" + blob + bytes(16)
+    if case == "shape":
+        return head.replace(b"out_bias 1", b"out_bias 2") + b"\n\n" + blob + bytes(8)
+    if case == "short":
+        return raw[:-8]
+    if case == "long":
+        return raw + bytes(8)
+    values = np.frombuffer(blob, dtype="<f8").copy()
+    values[5] = np.nan  # inside the embedding, the first tensor
+    return head + b"\n\n" + values.tobytes()
+
+
+class TestMalformedInputs:
+    CHECKPOINT_CASES = {
+        "missing": "tensor out_bias is missing in the file but (1,) in the model",
+        "extra": "tensor extra_bias is (2,) in the file but absent in the model",
+        "shape": "tensor out_bias is (2,) in the file but (1,) in the model",
+        "short": "data section ends inside tensor out_bias",
+        "long": "8 bytes of data after the last tensor out_bias",
+        "nan": "tensor embedding holds a non-finite value",
+        "no_conv": "its tensor shapes fit no model: need at least one window size",
+    }
+
+    @pytest.mark.parametrize("case", CHECKPOINT_CASES)
+    def test_checkpoint_exits_1_with_one_line(self, workspace, tmp_path, capsys, case):
+        path = tmp_path / "checkpoint.bin"
+        if case == "no_conv":
+            params, _ = ModelParams.load(workspace / "sal/checkpoint.bin")
+            kept = {k: t for k, t in params.tensors().items() if not k.startswith("conv")}
+            save_checkpoint(kept, path)
+        else:
+            path.write_bytes(corrupt((workspace / "sal/checkpoint.bin").read_bytes(), case))
+        assert run_cli("eval", "--checkpoint", str(path), "--vocab", str(workspace / "sal/vocab.txt"),
+                       "--data", str(workspace / "test.jsonl")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: checkpoint {path}: {self.CHECKPOINT_CASES[case]}"
+        ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "x"])
+    def test_embeddings_exit_1_with_one_line(self, workspace, tmp_path, capsys, value):
+        message = "non-numeric value" if value == "x" else "non-finite value"
+        path = tmp_path / "vecs.txt"
+        path.write_text("w4 " + " ".join(["0.5"] * 8) + "\nw5 0.5 " + value + " 0 0 0 0 0 0\n")
+        assert run_cli("train", "--train", str(workspace / "train.jsonl"),
+                       "--dev", str(workspace / "dev.jsonl"), "--max-len", "8", "--embed-dim", "8",
+                       "--embeddings", str(path), "--out", str(tmp_path / "run")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path} line 2: {message}"]
+
 
 class TestSaliencyCommand:
     def test_writes_heatmaps(self, workspace, tmp_path):
@@ -151,6 +224,19 @@ class TestSaliencyCommand:
             body = (out / f"heatmap_{i:04d}.html").read_text()
             block = body.split('<div class="predictions">\n')[1].split("\n</div>")[0]
             assert block == expected
+
+    def test_runs_one_pass_per_128_heatmaps(self, workspace, tmp_path, passes):
+        data = tmp_path / "big.jsonl"
+        assert run_cli("synth", "--count", "300", "--seed", "5", "--out", str(data), "--vocab-size",
+                       "80", "--triggers", "4", "--min-len", "4", "--max-len", "8") == 0
+        assert run_cli("saliency", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
+                       "--baseline-checkpoint", str(workspace / "base/checkpoint.bin"),
+                       "--data", str(data), "--limit", "300", "--out", str(tmp_path / "maps")) == 0
+        scored = [(128, True), (128, True), (44, True)]
+        baseline = [(256, False), (44, False)]  # predict_batch, no graph
+        assert passes["forward"] == scored + baseline
+        assert passes["backward"] == 3
+        assert len(list((tmp_path / "maps").glob("heatmap_*.html"))) == 300
 
 
 class TestGradcheckCommand:

@@ -7,19 +7,19 @@ from salign.data import Example, SynthConfig, gen_synthetic
 from salign.evaluation import (
     SaliencyReport,
     classification_metrics,
-    dataset_saliency_accuracy,
     delta_tpr,
     evaluate_model,
     mcnemar_one_sided,
     predict_batch,
     saliency_accuracy,
     saliency_report,
+    saliency_scores,
     serialize_metrics,
     serialize_verification,
     top_k_salient,
     verify_tpr_drop,
 )
-from salign.model import ModelConfig, ModelParams
+from salign.model import LEVELS, ModelConfig, ModelParams
 from salign.training import TrainConfig, train
 from salign.loss import SaliencyConfig
 
@@ -88,10 +88,8 @@ class TestSaliencyAccuracy:
         params = ModelParams(config, seed=0)
         ds = gen_synthetic(SynthConfig(count=60, vocab_size=40, trigger_count=3,
                                        min_len=4, max_len=8, seed=2))
-        agg = dataset_saliency_accuracy(params, config, ds.examples, levels=("word",))
-        from salign.evaluation import saliency_scores
-
-        scored = saliency_scores(params, config, ds.examples, levels=("word",))
+        agg = evaluate_model(params, config, ds, levels=("word",)).s_acc
+        scored, _ = saliency_scores(params, config, ds.examples, ("word",))
         hits = marked = 0
         for ex, grads in zip(ds.examples, scored):
             for z, g in zip(ex.rationale, grads["word"]):
@@ -218,7 +216,7 @@ class TestReports:
         config = ModelConfig(vocab_size=40, embed_dim=4, max_len=8)
         params = ModelParams(config, seed=1)
         ex = ds.examples[0]
-        rep = saliency_report(params, config, ex, ds.vocab)
+        (rep,), _ = saliency_report(params, config, [ex], ds.vocab)
         assert set(rep.grads) == {"word", "intermediate", "decision"}
         assert all(len(g) == len(ex.tokens) for g in rep.grads.values())
         assert len(rep.tokens) == len(ex.tokens)
@@ -247,3 +245,85 @@ class TestReports:
         params = ModelParams(config, seed=3)
         probs, labels = predict_batch(params, config, ds.examples)
         np.testing.assert_array_equal(labels, (probs >= 0.5).astype(int))
+
+
+def corpus(mode, count, seed=5):
+    """Sentences up to 10 tokens, so a max_len of 8 truncates some."""
+    return gen_synthetic(SynthConfig(count=count, vocab_size=40, trigger_count=3, min_len=4,
+                                     max_len=10, seed=seed, mode=mode))
+
+
+class TestOnePassPerJob:
+    @staticmethod
+    def model(mode, examples):
+        """A seeded model whose bias is set so about half its labels are 1."""
+        config = ModelConfig(vocab_size=40, embed_dim=6, max_len=8, mode=mode)
+        params = ModelParams(config, seed=3)
+        probs, _ = predict_batch(params, config, examples)
+        params.out_bias.values[...] -= np.median(np.log(probs / (1.0 - probs)))
+        return params, config
+
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_evaluate_model_labels_equal_predict_batch(self, mode):
+        ds = corpus(mode, 300)
+        params, config = self.model(mode, ds.examples)
+        _, labels = predict_batch(params, config, ds.examples)
+        assert 0 < labels.sum() < len(labels)
+        np.testing.assert_array_equal(saliency_scores(params, config, ds.examples)[1], labels)
+        report = evaluate_model(params, config, ds)
+        expected = classification_metrics(labels.tolist(), ds.labels())
+        got = (report.tp, report.fp, report.tn, report.fn)
+        assert got == (expected.tp, expected.fp, expected.tn, expected.fn)
+
+    @pytest.mark.parametrize("logit", [0.0, -1e-17])
+    def test_labels_share_predict_batch_threshold(self, logit):
+        # sigmoid(-1e-17) rounds to 0.5: a sign rule on the logit would say 0
+        ds = corpus("event", 20)
+        params, config = self.model("event", ds.examples)
+        params.out_weight.values[...] = 0.0
+        params.out_bias.values[...] = logit
+        probs, labels = predict_batch(params, config, ds.examples)
+        assert (probs == 0.5).all() and labels.all()
+        for levels in (LEVELS, ()):
+            np.testing.assert_array_equal(saliency_scores(params, config, ds.examples, levels)[1],
+                                          labels)
+        report = evaluate_model(params, config, ds)
+        assert report.tp + report.fp == 20
+
+    def test_eval_runs_one_forward_pass_per_chunk(self, passes):
+        ds = corpus("qa", 300)
+        params, config = self.model("qa", ds.examples)
+        passes["forward"].clear()
+        report = evaluate_model(params, config, ds)
+        assert passes["forward"] == [(128, True), (128, True), (44, True)]
+        assert passes["backward"] == 3
+        assert set(report.s_acc) == set(LEVELS)
+
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_saliency_report_equals_per_example_loop(self, mode):
+        ds = corpus(mode, 150)
+        params, config = self.model(mode, ds.examples)
+        reports, labels = saliency_report(params, config, ds.examples, ds.vocab, k=4)
+        assert len(reports) == len(ds.examples)
+        np.testing.assert_array_equal(labels, predict_batch(params, config, ds.examples)[1])
+        truncated = 0
+        for ex, rep in zip(ds.examples, reports):
+            (alone,), _ = saliency_scores(params, config, [ex])
+            assert list(rep.grads) == list(alone) == list(LEVELS)
+            for level in LEVELS:
+                assert rep.grads[level].tobytes() == alone[level].tobytes()
+            assert rep.tokens == [ds.vocab.token_for(t) for t in ex.tokens[: config.max_len]]
+            word = np.abs(alone["word"])
+            ranked = sorted(range(len(word)), key=lambda i: (-word[i], i))
+            assert rep.top_indices == [i for i in ranked if word[i] > 0][:4]
+            truncated += len(ex.tokens) > config.max_len
+        assert truncated > 0
+
+    def test_saliency_report_runs_one_pass_per_128_heatmaps(self, passes):
+        ds = corpus("event", 300)
+        params, config = self.model("event", ds.examples)
+        passes["forward"].clear()
+        reports, labels = saliency_report(params, config, ds.examples, ds.vocab)
+        assert passes["forward"] == [(128, True), (128, True), (44, True)]
+        assert passes["backward"] == 3
+        assert len(reports) == len(labels) == 300

@@ -5,7 +5,12 @@ import pytest
 
 from salign import Tensor, grad, ops
 from salign.data import Example, SynthConfig, gen_synthetic
-from salign.gradcheck import finite_diff_check_many, model_cost_gradcheck
+from salign.gradcheck import (
+    finite_diff_check_many,
+    model_cost_gradcheck,
+    model_kink_margin,
+    select_smooth_positives,
+)
 from salign.loss import SaliencyConfig, hinge_penalty, padded_mask, task_loss, token_saliency, total_cost
 from salign.model import ModelConfig, ModelParams, encode
 
@@ -177,3 +182,47 @@ class TestTotalCost:
             G2[i] -= abs(rng.normal())
             worse = hinge_penalty(Tensor(G2), Z, 0.5).item()
             assert worse >= base
+
+
+class TestKinkMargin:
+    @staticmethod
+    def make(mode, synth_max_len):
+        config = ModelConfig(vocab_size=12, embed_dim=8, max_len=6, mode=mode)
+        corpus = gen_synthetic(SynthConfig(count=200, vocab_size=12, trigger_count=2, min_len=3,
+                                           max_len=synth_max_len, seed=1, mode=mode))
+        return ModelParams(config, seed=0), config, corpus.examples
+
+    @staticmethod
+    def reference(params, config, ex, cfg):
+        """Forward kink margin, then one token_saliency backward per level on
+        the single-example trace."""
+        margin = model_kink_margin(params, config, ex)
+        trace = encode(ex, params, config)
+        mask = padded_mask(ex, config.max_len)
+        for level in cfg.levels:
+            marked = token_saliency(trace.level_tensor(level), trace.logit).values[mask > 0]
+            if marked.size:
+                margin = min(margin, float(np.min(np.abs(marked))))
+        return margin
+
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_equals_per_level_token_saliency_reference(self, mode):
+        params, config, examples = self.make(mode, synth_max_len=8)
+        params.out_weight.values *= 0.01  # shrinks the gradients, not the forward margins
+        cfg = SaliencyConfig(strength=0.5)
+        binding = 0
+        for ex in examples:
+            if ex.label == 1:
+                want = self.reference(params, config, ex, cfg)
+                assert model_kink_margin(params, config, ex, cfg) == want
+                binding += want < model_kink_margin(params, config, ex)
+        assert binding > 0  # the hinge inputs set some examples' margin
+
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_selection_runs_one_backward_per_candidate(self, mode, passes):
+        params, config, examples = self.make(mode, synth_max_len=6)
+        candidates = [ex for ex in examples if ex.label == 1 and ex.marked_count >= 1]
+        chosen = select_smooth_positives(params, config, examples, SaliencyConfig(0.5), 3)
+        scanned = next(i for i, ex in enumerate(candidates) if ex is chosen[-1]) + 1
+        assert passes["forward"] == [(1, True)] * scanned
+        assert passes["backward"] == scanned
