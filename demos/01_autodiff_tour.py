@@ -1,8 +1,11 @@
 """A tour of the autodiff engine.
 
-Builds a few graphs by hand, takes first and second derivatives, and
-cross-checks every gradient against central finite differences.
+Builds a few graphs by hand, takes first and second derivatives,
+cross-checks every gradient against central finite differences, and counts
+the graph nodes one forward pass builds per op.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -38,9 +41,10 @@ sentence = Tensor(rng.normal(size=(6, 4)))
 err = finite_diff_check(block, sentence, eps=1e-4)
 print(f"conv + relu + dual max-pool vs finite differences: max rel err {err:.2e}")
 
-# --- the tape ----------------------------------------------------------------
-# Recording a graph lets us replay the forward pass and confirm it is
-# bit-for-bit deterministic.
-with Graph() as tape:
+# --- the recorder -----------------------------------------------------------
+# A Graph lists every op node built while it is active, in creation order.
+with Graph() as graph:
     out = block(Tensor(rng.normal(size=(5, 4))))
-print("tape nodes:", len(tape.nodes), "replay bit-identical:", tape.replay())
+print("graph nodes:", len(graph.nodes))
+for op, count in sorted(Counter(t.op for t in graph.nodes).items()):
+    print(f"  {op:16s} {count}")

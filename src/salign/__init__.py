@@ -1,6 +1,6 @@
 """salign: train text classifiers whose gradients align with rationales."""
 
-from .engine import Tensor, Graph, GradRequest, backward, grad, no_grad, set_grad_enabled
+from .engine import Tensor, Graph, grad, no_grad, set_grad_enabled
 from . import ops
 from .gradcheck import finite_diff_check, finite_diff_check_many
 from .model import ModelConfig, ModelParams, ForwardTrace, encode, encode_batch
@@ -21,8 +21,6 @@ from .evaluation import (
 __all__ = [
     "Tensor",
     "Graph",
-    "GradRequest",
-    "backward",
     "grad",
     "no_grad",
     "set_grad_enabled",

@@ -185,10 +185,21 @@ def _load_model(checkpoint, vocab_path):
     _require_file(checkpoint, "checkpoint")
     if vocab_path is None:
         vocab_path = str(Path(checkpoint).with_name("vocab.txt"))
-    _require_file(vocab_path, "vocabulary")
-    params, config = ModelParams.load(checkpoint)
-    vocab = Vocabulary.load(vocab_path)
+    vocab = Vocabulary.load(_require_file(vocab_path, "vocabulary"))
+    params, config = _load_checkpoint(checkpoint, vocab)
     return params, config, vocab
+
+
+def _load_checkpoint(checkpoint, vocab, mode="event"):
+    """A checkpoint with the config its own shapes give, in mode; its
+    embedding must cover exactly the vocabulary."""
+    params, config = ModelParams.load(_require_file(checkpoint, "checkpoint"), mode=mode)
+    if config.vocab_size != len(vocab):
+        raise ValueError(
+            f"checkpoint {checkpoint}: embedding has {config.vocab_size} rows "
+            f"but the vocabulary has {len(vocab)} tokens"
+        )
+    return params, config
 
 
 def _emit(text, out):
@@ -285,13 +296,13 @@ def cmd_saliency(run: RunConfig):
     dataset, config = _dataset_for(config, run["data"], vocab)
     baseline = None
     if run["baseline_checkpoint"]:
-        baseline, _ = ModelParams.load(run["baseline_checkpoint"], mode=config.mode)
+        baseline = _load_checkpoint(run["baseline_checkpoint"], vocab, config.mode)
     out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
     examples = dataset.examples[: run["limit"]]
     reports, own = saliency_report(params, config, examples, vocab, k=run["k"])
     if baseline is not None:
-        _, other = predict_batch(baseline, config, examples)
+        _, other = predict_batch(*baseline, examples)
     for i, (ex, rep) in enumerate(zip(examples, reports)):
         if baseline is not None:
             predictions = {"baseline": int(other[i]), "saliency": int(own[i])}
@@ -334,12 +345,12 @@ def cmd_gradcheck(run: RunConfig):
 
 def cmd_compare(run: RunConfig):
     _require_file(run["data"], "dataset")
-    params_a, config, vocab = _load_model(run["checkpoint_a"], run["vocab"])
-    params_b, _ = ModelParams.load(_require_file(run["checkpoint_b"], "checkpoint"))
-    dataset, config = _dataset_for(config, run["data"], vocab)
+    params_a, config_a, vocab = _load_model(run["checkpoint_a"], run["vocab"])
+    dataset, config_a = _dataset_for(config_a, run["data"], vocab)
+    params_b, config_b = _load_checkpoint(run["checkpoint_b"], vocab, dataset.mode)
     labels = np.array(dataset.labels())
-    _, pred_a = predict_batch(params_a, config, dataset.examples)
-    _, pred_b = predict_batch(params_b, config, dataset.examples)
+    _, pred_a = predict_batch(params_a, config_a, dataset.examples)
+    _, pred_b = predict_batch(params_b, config_b, dataset.examples)
     a_only = int(np.sum((pred_a == labels) & (pred_b != labels)))
     b_only = int(np.sum((pred_b == labels) & (pred_a != labels)))
     p = f"{mcnemar_one_sided(a_only, b_only):.6g}" if a_only + b_only else "nan"

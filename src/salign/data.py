@@ -91,7 +91,11 @@ class Vocabulary:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls(fh.read().splitlines())
+            tokens = fh.read().splitlines()
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

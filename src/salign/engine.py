@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Every backward rule is expressed through the same differentiable primitives
-(see :mod:`salign.ops`), so gradients requested with ``create_graph=True``
-are themselves graph nodes and can be differentiated again. That second
-pass is what makes a cost containing gradient terms optimizable.
+Tensors carry their parents and a vector-Jacobian-product closure; a
+:class:`Graph` records the op tensors built while it is active; :func:`grad`
+is the one gradient entry point. Every backward rule is expressed through
+the same differentiable primitives (see :mod:`salign.ops`), so gradients
+requested with ``create_graph=True`` are themselves graph nodes and can be
+differentiated again. That second pass is what makes a cost containing
+gradient terms optimizable.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,16 +90,16 @@ class Tensor:
 
 
 class Graph:
-    """Append-only tape of op records, topological by construction.
+    """Recorder of the op tensors built while it is active.
 
-    Used as a context manager; ops executed inside record themselves in
-    creation order together with a pure forward closure, which lets
-    :meth:`replay` recompute every value from the leaves and check
-    bit-identical reproduction.
+    Used as a context manager: ``nodes`` lists, in creation order, every op
+    output created inside it, with or without gradient tracking. Graphs
+    nest; an inner one captures the nodes built while it is active, and the
+    outer one records again once the inner one exits.
     """
 
     def __init__(self):
-        self._entries = []  # (tensor, fwd closure or None, parent tuple)
+        self.nodes = []
         self._prev = None
 
     def __enter__(self):
@@ -110,57 +112,6 @@ class Graph:
         global _ACTIVE_GRAPH
         _ACTIVE_GRAPH = self._prev
         return False
-
-    def record(self, tensor, fwd, parents):
-        self._entries.append((tensor, fwd, parents))
-
-    @property
-    def nodes(self):
-        return [t for t, _, _ in self._entries]
-
-    def tape_is_topological(self):
-        """Every recorded node's recorded parents precede it on the tape."""
-        recorded = {id(t) for t, _, _ in self._entries}
-        seen = set()
-        for tensor, _, parents in self._entries:
-            for p in parents:
-                if id(p) in recorded and id(p) not in seen:
-                    return False
-            seen.add(id(tensor))
-        return True
-
-    def replay(self):
-        """Recompute all recorded values from leaf inputs.
-
-        Returns True when every node reproduces bit-identically. Leaves and
-        parents outside the tape contribute their current values.
-        """
-        computed = {}
-        for tensor, fwd, parents in self._entries:
-            if fwd is None:
-                computed[id(tensor)] = tensor.values
-                continue
-            vals = [computed.get(id(p), p.values) for p in parents]
-            redone = fwd(*vals)
-            if redone.shape != tensor.values.shape or not np.array_equal(
-                redone, tensor.values
-            ):
-                return False
-            computed[id(tensor)] = redone
-        return True
-
-
-@dataclass
-class GradRequest:
-    """Differentiate ``root`` (a recorded scalar) with respect to ``targets``.
-
-    With ``create_graph`` the returned gradients are graph-connected and can
-    be differentiated again; otherwise they are detached.
-    """
-
-    root: Tensor
-    targets: list = field(default_factory=list)
-    create_graph: bool = False
 
 
 def _toposort(root):
@@ -182,20 +133,21 @@ def _toposort(root):
     return order  # parents always precede consumers
 
 
-def backward(req: GradRequest):
-    """Run reverse-mode accumulation, returning {target: gradient tensor}.
+def grad(root, targets, create_graph=False):
+    """Differentiate the scalar ``root`` with respect to ``targets``.
 
-    Targets not reachable from the root receive a zero tensor of their own
-    shape (documented behaviour, not an error). Fan-out accumulates by
-    summation.
+    Returns {target: gradient tensor}. With ``create_graph`` the gradients
+    are graph-connected and can be differentiated again; otherwise they are
+    detached. Targets not reachable from the root receive a zero tensor of
+    their own shape (documented behaviour, not an error). Fan-out
+    accumulates by summation.
     """
     from . import ops  # local import: ops depends on this module
 
-    root = req.root
     if root.shape not in ((), (1,)):
-        raise ValueError(f"backward root must be scalar, got shape {root.shape}")
+        raise ValueError(f"grad root must be scalar, got shape {root.shape}")
 
-    targets = list(req.targets)
+    targets = list(targets)
     topo = _toposort(root)
     target_ids = {id(t) for t in targets}
 
@@ -207,7 +159,7 @@ def backward(req: GradRequest):
             useful.add(id(node))
 
     grads = {id(root): Tensor(np.ones(root.shape))}
-    with set_grad_enabled(req.create_graph):
+    with set_grad_enabled(create_graph):
         for node in reversed(topo):
             g = grads.get(id(node))
             if g is None or node.vjp is None:
@@ -227,10 +179,5 @@ def backward(req: GradRequest):
         gt = grads.get(id(t))
         if gt is None:
             gt = Tensor(np.zeros(t.shape))
-        out[t] = gt if req.create_graph else gt.detach()
+        out[t] = gt if create_graph else gt.detach()
     return out
-
-
-def grad(root, targets, create_graph=False):
-    """Convenience wrapper around :func:`backward`."""
-    return backward(GradRequest(root=root, targets=list(targets), create_graph=create_graph))

@@ -1,8 +1,9 @@
 """Differentiable tensor primitives.
 
-Each op computes its forward value with numpy and attaches a
+Each op computes its forward value once with numpy, attaches a
 vector-Jacobian-product closure written in terms of ops from this module,
-which keeps the op set closed under differentiation. Nonsmooth ops (relu,
+which keeps the op set closed under differentiation, and appends its output
+to the active :class:`~salign.engine.Graph`, if any. Nonsmooth ops (relu,
 maximum, max-pooling) freeze their routing pattern at forward time, so
 their second derivative is zero almost everywhere.
 
@@ -22,14 +23,14 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(op, values, parents, vjp, fwd):
+def _node(op, values, parents, vjp):
     out = Tensor(values, op=op)
     if engine.grad_enabled():
         out.parents = tuple(parents)
         out.vjp = vjp
     g = engine.active_graph()
     if g is not None:
-        g.record(out, fwd, tuple(parents))
+        g.nodes.append(out)
     return out
 
 
@@ -54,7 +55,7 @@ def add(a, b):
             db = sum_all(g) if b.ndim == 0 and g.ndim > 0 else g
         return da, db
 
-    return _node("add", a.values + b.values, (a, b), vjp, lambda va, vb: va + vb)
+    return _node("add", a.values + b.values, (a, b), vjp)
 
 
 def mul(a, b):
@@ -74,20 +75,14 @@ def mul(a, b):
                 db = sum_all(db)
         return da, db
 
-    return _node("mul", a.values * b.values, (a, b), vjp, lambda va, vb: va * vb)
+    return _node("mul", a.values * b.values, (a, b), vjp)
 
 
 def scale(a, c):
     """Multiply by a plain float constant (not differentiated through)."""
     a = _as_tensor(a)
     c = float(c)
-    return _node(
-        "scale",
-        a.values * c,
-        (a,),
-        lambda g, needs: (scale(g, c),),
-        lambda va: va * c,
-    )
+    return _node("scale", a.values * c, (a,), lambda g, needs: (scale(g, c),))
 
 
 def neg(a):
@@ -105,7 +100,7 @@ def relu(a):
     def vjp(g, needs):
         return (mul(g, mask),)
 
-    return _node("relu", np.maximum(a.values, 0.0), (a,), vjp, lambda va: np.maximum(va, 0.0))
+    return _node("relu", np.maximum(a.values, 0.0), (a,), vjp)
 
 
 def maximum(a, b):
@@ -121,9 +116,7 @@ def maximum(a, b):
         db = mul(g, take_b) if needs[1] else None
         return da, db
 
-    return _node(
-        "maximum", np.maximum(a.values, b.values), (a, b), vjp, lambda va, vb: np.maximum(va, vb)
-    )
+    return _node("maximum", np.maximum(a.values, b.values), (a, b), vjp)
 
 
 def _sigmoid_values(v):
@@ -137,7 +130,7 @@ def _sigmoid_values(v):
 
 def sigmoid(a):
     a = _as_tensor(a)
-    out = _node("sigmoid", _sigmoid_values(a.values), (a,), None, _sigmoid_values)
+    out = _node("sigmoid", _sigmoid_values(a.values), (a,), None)
 
     def vjp(g, needs):
         one_minus = add(neg(out), 1.0)
@@ -151,14 +144,12 @@ def sigmoid(a):
 def softplus(a):
     """log(1 + exp(a)), computed in overflow-safe form."""
     a = _as_tensor(a)
-
-    def fwd(va):
-        return np.maximum(va, 0.0) + np.log1p(np.exp(-np.abs(va)))
+    values = np.maximum(a.values, 0.0) + np.log1p(np.exp(-np.abs(a.values)))
 
     def vjp(g, needs):
         return (mul(g, sigmoid(a)),)
 
-    return _node("softplus", fwd(a.values), (a,), vjp, fwd)
+    return _node("softplus", values, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +163,7 @@ def sum_all(a):
     def vjp(g, needs):
         return (broadcast_from_scalar(g, shape),)
 
-    return _node("sum_all", np.sum(a.values), (a,), vjp, np.sum)
+    return _node("sum_all", np.sum(a.values), (a,), vjp)
 
 
 def broadcast_from_scalar(a, shape):
@@ -184,13 +175,7 @@ def broadcast_from_scalar(a, shape):
     def vjp(g, needs):
         return (sum_all(g),)
 
-    return _node(
-        "broadcast_from_scalar",
-        np.full(shape, float(a.values)),
-        (a,),
-        vjp,
-        lambda va: np.full(shape, float(va)),
-    )
+    return _node("broadcast_from_scalar", np.full(shape, float(a.values)), (a,), vjp)
 
 
 def sum_last(a):
@@ -203,7 +188,7 @@ def sum_last(a):
     def vjp(g, needs):
         return (repeat_last(g, k),)
 
-    return _node("sum_last", a.values.sum(axis=-1), (a,), vjp, lambda va: va.sum(axis=-1))
+    return _node("sum_last", a.values.sum(axis=-1), (a,), vjp)
 
 
 def repeat_last(a, k):
@@ -211,13 +196,10 @@ def repeat_last(a, k):
     a = _as_tensor(a)
     k = int(k)
 
-    def fwd(va):
-        return np.repeat(va[..., None], k, axis=-1)
-
     def vjp(g, needs):
         return (sum_last(g),)
 
-    return _node("repeat_last", fwd(a.values), (a,), vjp, fwd)
+    return _node("repeat_last", np.repeat(a.values[..., None], k, axis=-1), (a,), vjp)
 
 
 def sum_rows(a):
@@ -230,7 +212,7 @@ def sum_rows(a):
     def vjp(g, needs):
         return (repeat_rows(g, n),)
 
-    return _node("sum_rows", a.values.sum(axis=-2), (a,), vjp, lambda va: va.sum(axis=-2))
+    return _node("sum_rows", a.values.sum(axis=-2), (a,), vjp)
 
 
 def repeat_rows(a, n):
@@ -238,13 +220,10 @@ def repeat_rows(a, n):
     a = _as_tensor(a)
     n = int(n)
 
-    def fwd(va):
-        return np.repeat(va[..., None, :], n, axis=-2)
-
     def vjp(g, needs):
         return (sum_rows(g),)
 
-    return _node("repeat_rows", fwd(a.values), (a,), vjp, fwd)
+    return _node("repeat_rows", np.repeat(a.values[..., None, :], n, axis=-2), (a,), vjp)
 
 
 def sum_except_last(a):
@@ -258,13 +237,7 @@ def sum_except_last(a):
     def vjp(g, needs):
         return (broadcast_except_last(g, shape),)
 
-    return _node(
-        "sum_except_last",
-        a.values.sum(axis=axes),
-        (a,),
-        vjp,
-        lambda va: va.sum(axis=axes),
-    )
+    return _node("sum_except_last", a.values.sum(axis=axes), (a,), vjp)
 
 
 def broadcast_except_last(a, shape):
@@ -273,13 +246,10 @@ def broadcast_except_last(a, shape):
     if a.shape != shape[-1:]:
         raise ValueError(f"broadcast_except_last: {a.shape} -> {shape}")
 
-    def fwd(va):
-        return np.broadcast_to(va, shape).copy()
-
     def vjp(g, needs):
         return (sum_except_last(g),)
 
-    return _node("broadcast_except_last", fwd(a.values), (a,), vjp, fwd)
+    return _node("broadcast_except_last", np.broadcast_to(a.values, shape).copy(), (a,), vjp)
 
 
 def add_vec_last(x, v):
@@ -293,7 +263,7 @@ def add_vec_last(x, v):
         dv = sum_except_last(g) if needs[1] else None
         return dx, dv
 
-    return _node("add_vec_last", x.values + v.values, (x, v), vjp, lambda vx, vv: vx + vv)
+    return _node("add_vec_last", x.values + v.values, (x, v), vjp)
 
 
 def mul_rows(x, v):
@@ -302,15 +272,12 @@ def mul_rows(x, v):
     if x.ndim < 2 or v.shape != x.shape[:-2] + x.shape[-1:]:
         raise ValueError(f"mul_rows: {x.shape} rows * {v.shape}")
 
-    def fwd(vx, vv):
-        return vx * vv[..., None, :]
-
     def vjp(g, needs):
         dx = mul_rows(g, v) if needs[0] else None
         dv = sum_rows(mul(g, x)) if needs[1] else None
         return dx, dv
 
-    return _node("mul_rows", fwd(x.values, v.values), (x, v), vjp, fwd)
+    return _node("mul_rows", x.values * v.values[..., None, :], (x, v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +292,7 @@ def reshape(a, shape):
     def vjp(g, needs):
         return (reshape(g, old),)
 
-    return _node(
-        "reshape",
-        a.values.reshape(shape).copy(),
-        (a,),
-        vjp,
-        lambda va: va.reshape(shape).copy(),
-    )
+    return _node("reshape", a.values.reshape(shape).copy(), (a,), vjp)
 
 
 def transpose2d(a):
@@ -342,7 +303,7 @@ def transpose2d(a):
     def vjp(g, needs):
         return (transpose2d(g),)
 
-    return _node("transpose2d", a.values.T.copy(), (a,), vjp, lambda va: va.T.copy())
+    return _node("transpose2d", a.values.T.copy(), (a,), vjp)
 
 
 def concat_last(*parts):
@@ -363,13 +324,7 @@ def concat_last(*parts):
             for i in range(len(parts))
         )
 
-    return _node(
-        "concat_last",
-        np.concatenate([p.values for p in parts], axis=-1),
-        parts,
-        vjp,
-        lambda *vs: np.concatenate(vs, axis=-1),
-    )
+    return _node("concat_last", np.concatenate([p.values for p in parts], axis=-1), parts, vjp)
 
 
 def slice_last(a, lo, hi):
@@ -380,9 +335,7 @@ def slice_last(a, lo, hi):
     def vjp(g, needs):
         return (pad_last(g, lo, total),)
 
-    return _node(
-        "slice_last", a.values[..., lo:hi].copy(), (a,), vjp, lambda va: va[..., lo:hi].copy()
-    )
+    return _node("slice_last", a.values[..., lo:hi].copy(), (a,), vjp)
 
 
 def pad_last(a, lo, total):
@@ -391,15 +344,13 @@ def pad_last(a, lo, total):
     lo, total = int(lo), int(total)
     k = a.shape[-1]
 
-    def fwd(va):
-        out = np.zeros(va.shape[:-1] + (total,))
-        out[..., lo : lo + k] = va
-        return out
+    out = np.zeros(a.shape[:-1] + (total,))
+    out[..., lo : lo + k] = a.values
 
     def vjp(g, needs):
         return (slice_last(g, lo, lo + k),)
 
-    return _node("pad_last", fwd(a.values), (a,), vjp, fwd)
+    return _node("pad_last", out, (a,), vjp)
 
 
 def shift_rows(a, offset):
@@ -409,20 +360,18 @@ def shift_rows(a, offset):
     if a.ndim < 2:
         raise ValueError("shift_rows needs ndim >= 2")
 
-    def fwd(va):
-        out = np.zeros_like(va)
-        if s == 0:
-            out[...] = va
-        elif s > 0:
-            out[..., s:, :] = va[..., :-s, :]
-        else:
-            out[..., :s, :] = va[..., -s:, :]
-        return out
+    out = np.zeros_like(a.values)
+    if s == 0:
+        out[...] = a.values
+    elif s > 0:
+        out[..., s:, :] = a.values[..., :-s, :]
+    else:
+        out[..., :s, :] = a.values[..., -s:, :]
 
     def vjp(g, needs):
         return (shift_rows(g, -s),)
 
-    return _node("shift_rows", fwd(a.values), (a,), vjp, fwd)
+    return _node("shift_rows", out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +388,7 @@ def matmul2d(a, b):
         db = matmul2d(transpose2d(a), g) if needs[1] else None
         return da, db
 
-    return _node("matmul2d", a.values @ b.values, (a, b), vjp, lambda va, vb: va @ vb)
+    return _node("matmul2d", a.values @ b.values, (a, b), vjp)
 
 
 def matmul_last(x, m):
@@ -463,13 +412,10 @@ def gather_rows(table, ids):
     if ids.size and (ids.min() < 0 or ids.max() >= nrows):
         raise ValueError(f"gather_rows: index outside [0, {nrows})")
 
-    def fwd(vt):
-        return vt[ids].copy()
-
     def vjp(g, needs):
         return (scatter_rows(g, ids, nrows),)
 
-    return _node("gather_rows", fwd(table.values), (table,), vjp, fwd)
+    return _node("gather_rows", table.values[ids].copy(), (table,), vjp)
 
 
 def scatter_rows(src, ids, nrows):
@@ -480,15 +426,13 @@ def scatter_rows(src, ids, nrows):
         raise ValueError("scatter_rows: src leading shape must match ids")
     trail = src.shape[ids.ndim :]
 
-    def fwd(vs):
-        out = np.zeros((nrows,) + trail)
-        np.add.at(out, ids.reshape(-1), vs.reshape((-1,) + trail))
-        return out
+    out = np.zeros((nrows,) + trail)
+    np.add.at(out, ids.reshape(-1), src.values.reshape((-1,) + trail))
 
     def vjp(g, needs):
         return (gather_rows(g, ids),)
 
-    return _node("scatter_rows", fwd(src.values), (src,), vjp, fwd)
+    return _node("scatter_rows", out, (src,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +455,14 @@ def maxpool_axis(a, axis, valid=None):
         if valid.shape != a.shape or not valid.any(axis=axis).all():
             raise ValueError(f"maxpool_axis: valid needs shape {a.shape}, a true entry per group")
 
-    def masked(va):
-        return va if valid is None else np.where(valid, va, -np.inf)
-
-    def fwd(va):
-        return np.max(masked(va), axis=axis)
-
-    candidates = masked(a.values)
+    candidates = a.values if valid is None else np.where(valid, a.values, -np.inf)
     idx = np.argmax(candidates, axis=axis)
     size = a.shape[axis]
 
     def vjp(g, needs):
         return (place_along_axis(g, idx, axis, size),)
 
-    return _node("maxpool_axis", np.max(candidates, axis=axis), (a,), vjp, fwd)
+    return _node("maxpool_axis", np.max(candidates, axis=axis), (a,), vjp)
 
 
 def place_along_axis(src, idx, axis, size):
@@ -534,16 +472,13 @@ def place_along_axis(src, idx, axis, size):
     if src.shape != idx.shape:
         raise ValueError("place_along_axis: src and idx shapes must match")
 
-    def fwd(vs):
-        shape = vs.shape[:axis] + (size,) + vs.shape[axis:]
-        out = np.zeros(shape)
-        np.put_along_axis(out, np.expand_dims(idx, axis), np.expand_dims(vs, axis), axis)
-        return out
+    out = np.zeros(src.shape[:axis] + (size,) + src.shape[axis:])
+    np.put_along_axis(out, np.expand_dims(idx, axis), np.expand_dims(src.values, axis), axis)
 
     def vjp(g, needs):
         return (take_along_axis_at(g, idx, axis),)
 
-    return _node("place_along_axis", fwd(src.values), (src,), vjp, fwd)
+    return _node("place_along_axis", out, (src,), vjp)
 
 
 def take_along_axis_at(a, idx, axis):
@@ -551,14 +486,12 @@ def take_along_axis_at(a, idx, axis):
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     size = a.shape[axis]
-
-    def fwd(va):
-        return np.take_along_axis(va, np.expand_dims(idx, axis), axis).squeeze(axis)
+    values = np.take_along_axis(a.values, np.expand_dims(idx, axis), axis).squeeze(axis)
 
     def vjp(g, needs):
         return (place_along_axis(g, idx, axis, size),)
 
-    return _node("take_along_axis", fwd(a.values), (a,), vjp, fwd)
+    return _node("take_along_axis", values, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

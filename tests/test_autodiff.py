@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from salign import Tensor, Graph, GradRequest, backward, grad, no_grad, finite_diff_check
+from salign import Tensor, Graph, grad, no_grad, finite_diff_check
 from salign import ops
 from salign.gradcheck import pool_margin, relu_margin, resample_until_smooth
 
@@ -50,7 +50,7 @@ class TestBackwardContract:
     def test_non_scalar_root_rejected(self):
         x = Tensor([1.0, 2.0])
         with pytest.raises(ValueError):
-            backward(GradRequest(root=x, targets=[x]))
+            grad(x, [x])
 
     def test_disconnected_target_gets_zeros(self):
         x = Tensor([1.0, 2.0])
@@ -351,25 +351,44 @@ class TestFiniteDiffCheck:
             finite_diff_check(lambda t: ops.sum_all(t), Tensor([1.0]), eps=0.0)
 
 
-class TestGraphTape:
-    def test_tape_topological_and_replayable(self):
-        rng = np.random.default_rng(9)
-        with Graph() as tape:
-            x = Tensor(rng.normal(size=(3, 2)))
-            k = Tensor(rng.normal(size=(3, 2, 2)))
-            b = Tensor(rng.normal(size=(2,)))
-            out = ops.sum_all(ops.relu(ops.conv1d_same(x, k, b)))
-        assert out.values.shape == ()
-        assert tape.tape_is_topological()
-        assert tape.replay()
-
-    def test_replay_detects_divergence(self):
-        with Graph() as tape:
-            x = Tensor([1.0, 2.0])
+class TestGraphRecorder:
+    def test_nodes_list_ops_in_creation_order(self):
+        x = Tensor([1.0, -2.0])
+        with Graph() as graph:
             y = ops.mul(x, x)
-        y.values[0] = 99.0  # corrupt a recorded value
-        assert not tape.replay()
+            z = ops.relu(ops.add(y, x))
+            out = ops.sum_all(z)
+        assert [t.op for t in graph.nodes] == ["mul", "add", "relu", "sum_all"]
+        assert graph.nodes[0] is y and graph.nodes[-1] is out
 
+    def test_records_under_no_grad(self):
+        with Graph() as graph, no_grad():
+            ops.scale(Tensor([1.0]), 2.0)
+        assert [t.op for t in graph.nodes] == ["scale"]
+
+    def test_nothing_recorded_outside_or_when_inactive(self):
+        x = Tensor([1.0, 2.0])
+        idle = Graph()
+        ops.mul(x, x)
+        with Graph() as graph:
+            ops.mul(x, x)
+        ops.add(x, x)
+        assert idle.nodes == []
+        assert [t.op for t in graph.nodes] == ["mul"]
+
+    def test_nested_graph_captures_its_own_nodes(self):
+        x = Tensor([1.0, 2.0])
+        with Graph() as outer:
+            ops.mul(x, x)
+            with Graph() as inner:
+                ops.add(x, x)
+                ops.relu(x)
+            ops.sum_all(x)
+        assert [t.op for t in inner.nodes] == ["add", "relu"]
+        assert [t.op for t in outer.nodes] == ["mul", "sum_all"]
+
+
+class TestGraphTape:
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(10)
         vals = rng.normal(size=(4, 4))

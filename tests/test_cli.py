@@ -131,6 +131,77 @@ class TestEvalVerifyCompare:
         assert passes["backward"] == 1
 
 
+@pytest.fixture(scope="module")
+def wide(workspace):
+    """A checkpoint of other shapes (d 16, n 12) over the workspace vocabulary."""
+    assert run_cli("train", "--train", str(workspace / "train.jsonl"),
+                   "--dev", str(workspace / "dev.jsonl"), "--max-len", "12", "--embed-dim", "16",
+                   "--epochs", "2", "--lr", "0.002", "--seed", "4",
+                   "--out", str(workspace / "wide")) == 0
+    return workspace / "wide/checkpoint.bin"
+
+
+def own_predictions(path, examples):
+    params, config = ModelParams.load(path)
+    return predict_batch(params, config, examples)[1]
+
+
+class TestSecondCheckpoint:
+    @pytest.mark.parametrize("wide_is", ["a", "b"])
+    def test_compare_runs_each_model_under_its_own_shapes(self, workspace, wide, capsys, wide_is):
+        narrow = workspace / "sal/checkpoint.bin"
+        a, b = (wide, narrow) if wide_is == "a" else (narrow, wide)
+        assert run_cli("compare", "--checkpoint-a", str(a), "--checkpoint-b", str(b),
+                       "--vocab", str(workspace / "sal/vocab.txt"),
+                       "--data", str(workspace / "test.jsonl")) == 0
+        examples = load_jsonl(workspace / "test.jsonl", Vocabulary.load(workspace / "sal/vocab.txt")).examples
+        labels = np.array([ex.label for ex in examples])
+        pred_a, pred_b = own_predictions(a, examples), own_predictions(b, examples)
+        b_count = int(np.sum((pred_a == labels) & (pred_b != labels)))
+        c_count = int(np.sum((pred_b == labels) & (pred_a != labels)))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"b = {b_count}", f"c = {c_count}"]
+
+    @pytest.mark.parametrize("wide_is", ["checkpoint", "baseline"])
+    def test_saliency_runs_each_model_under_its_own_shapes(self, workspace, wide, tmp_path, wide_is):
+        narrow = workspace / "sal/checkpoint.bin"
+        model, baseline = (wide, narrow) if wide_is == "checkpoint" else (narrow, wide)
+        out = tmp_path / "maps"
+        assert run_cli("saliency", "--checkpoint", str(model), "--baseline-checkpoint", str(baseline),
+                       "--vocab", str(workspace / "sal/vocab.txt"),
+                       "--data", str(workspace / "test.jsonl"), "--limit", "6", "--out", str(out)) == 0
+        examples = load_jsonl(workspace / "test.jsonl", Vocabulary.load(workspace / "sal/vocab.txt")).examples[:6]
+        own, other = own_predictions(model, examples), own_predictions(baseline, examples)
+        for i in range(6):
+            body = (out / f"heatmap_{i:04d}.html").read_text()
+            block = body.split('<div class="predictions">\n')[1].split("\n</div>")[0]
+            assert block == f"baseline: {other[i]}<br>\nsaliency: {own[i]}"
+
+    @pytest.mark.parametrize("flags", [
+        ("compare", "--checkpoint-a", "--checkpoint-b"),
+        ("saliency", "--checkpoint", "--baseline-checkpoint"),
+        ("compare", "--checkpoint-b", "--checkpoint-a"),
+        ("saliency", "--baseline-checkpoint", "--checkpoint"),
+        ("eval", None, "--checkpoint"),
+    ], ids=["compare-b", "saliency-baseline", "compare-a", "saliency-model", "eval"])
+    def test_vocabulary_size_mismatch_exits_1_with_one_line(self, workspace, tmp_path, capsys, flags):
+        command, fits, other_flag = flags
+        vocab = Vocabulary.load(workspace / "sal/vocab.txt")
+        other = tmp_path / "other.bin"
+        ModelParams(ModelConfig(vocab_size=len(vocab) + 5, embed_dim=8, max_len=8)).save(other)
+        args = [command, other_flag, str(other), "--vocab", str(workspace / "sal/vocab.txt"),
+                "--data", str(workspace / "test.jsonl"), "--out", str(tmp_path / "out")]
+        if fits:
+            args += [fits, str(workspace / "sal/checkpoint.bin")]
+        assert run_cli(*args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: checkpoint {other}: embedding has {len(vocab) + 5} rows "
+            f"but the vocabulary has {len(vocab)} tokens"
+        ]
+
+
 def corrupt(raw, case):
     """A trained checkpoint's bytes, broken in one way; out_bias (1,) is the
     last tensor, so its 8 bytes end the file."""
@@ -177,6 +248,19 @@ class TestMalformedInputs:
         assert captured.err.splitlines() == [
             f"error: checkpoint {path}: {self.CHECKPOINT_CASES[case]}"
         ]
+
+    @pytest.mark.parametrize("case", ["duplicate", "reserved"])
+    def test_vocabulary_exits_1_with_one_line_naming_it(self, workspace, tmp_path, capsys, case):
+        tokens = (workspace / "sal/vocab.txt").read_text().splitlines()
+        tokens = tokens + tokens[3:4] if case == "duplicate" else tokens[1:]
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(tokens) + "\n")
+        assert run_cli("eval", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
+                       "--vocab", str(path), "--data", str(workspace / "test.jsonl")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "x"])
     def test_embeddings_exit_1_with_one_line(self, workspace, tmp_path, capsys, value):

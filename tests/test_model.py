@@ -314,9 +314,9 @@ class TestBatchedQueryTower:
         ]
         counts = []
         for batch in (examples[:1], examples):
-            with Graph() as tape:
+            with Graph() as graph:
                 encode_batch(batch, params, config)
-            counts.append(len(tape.nodes))
+            counts.append(len(graph.nodes))
         assert counts[0] == counts[1]
 
 
