@@ -22,7 +22,7 @@ print("d(x^2)/dx at 3:", grad(y, [x])[x].values)
 x = Tensor(2.0)
 y = ops.mul(ops.mul(x, x), x)
 first = grad(y, [x], create_graph=True)[x]
-second = grad(ops.sum_all(first), [x])[x]
+second = grad(ops.sum_axes(first), [x])[x]
 print("d2(x^3)/dx2 at 2:", second.values, "(expect 6x = 12)")
 
 # --- a small network block ---------------------------------------------------
@@ -34,7 +34,7 @@ bias = Tensor(rng.normal(size=(4,)))
 def block(inp):
     hidden = ops.relu(ops.conv1d_same(inp, kernel, bias))
     pooled = ops.concat_last(ops.maxpool_axis(hidden, 0), ops.maxpool_axis(hidden, 1))
-    return ops.sum_all(pooled)
+    return ops.sum_axes(pooled)
 
 
 sentence = Tensor(rng.normal(size=(6, 4)))

@@ -291,6 +291,9 @@ def cmd_eval(run: RunConfig):
 
 
 def cmd_saliency(run: RunConfig):
+    for name in ("limit", "k"):
+        if run[name] < 1:
+            raise ValueError(f"--{name} must be at least 1, got {run[name]}")
     params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
     _require_file(run["data"], "dataset")
     dataset, config = _dataset_for(config, run["data"], vocab)

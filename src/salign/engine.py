@@ -171,6 +171,8 @@ def grad(root, targets, create_graph=False):
             for p, pg in zip(node.parents, parent_grads):
                 if pg is None:
                     continue
+                if pg.shape != p.shape:
+                    raise ValueError(f"{node.op}: gradient shape {pg.shape} for input {p.shape}")
                 acc = grads.get(id(p))
                 grads[id(p)] = pg if acc is None else ops.add(acc, pg)
 

@@ -111,7 +111,7 @@ def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
             trace = encode_batch(part, params, config)
         logits.append(np.atleast_1d(trace.logit.values))
         targets = [trace.level_tensor(level) for level in levels]
-        grads = grad(ops.sum_all(trace.logit), targets)
+        grads = grad(ops.sum_axes(trace.logit), targets)
         per_level = {}
         for level, target in zip(levels, targets):
             g = grads[target].values

@@ -150,6 +150,8 @@ def model_kink_margin(params, config, example, saliency_cfg=None):
 
 def select_smooth_positives(params, config, examples, saliency_cfg, count, min_margin=1e-3):
     """First `count` positive examples whose forward sits clear of kinks."""
+    if count < 1:
+        raise ValueError("examples must be positive")
     chosen = []
     scanned = 0
     for ex in examples:

@@ -61,7 +61,7 @@ def token_saliency(level_tensor, logit, create_graph=False):
     outside the logit's graph yields zeros.
     """
     g = grad(logit, [level_tensor], create_graph=create_graph)[level_tensor]
-    return ops.sum_last(g) if level_tensor.ndim == 2 else g
+    return ops.sum_axes(g, (-1,)) if level_tensor.ndim == 2 else g
 
 
 def hinge_penalty(G, Z, weight):
@@ -70,7 +70,7 @@ def hinge_penalty(G, Z, weight):
     Z = np.asarray(Z, dtype=np.float64)
     if G.shape != Z.shape:
         raise ValueError(f"hinge_penalty: gradient shape {G.shape} vs mask {Z.shape}")
-    return ops.scale(ops.sum_all(ops.relu(ops.neg(ops.mul(G, Tensor(Z))))), weight)
+    return ops.scale(ops.sum_axes(ops.relu(ops.neg(ops.mul(G, Tensor(Z))))), weight)
 
 
 def padded_mask(example, n_max):
@@ -97,6 +97,6 @@ def total_cost(trace: ForwardTrace, example, cfg: SaliencyConfig):
     for level in cfg.levels:
         level_tensor = trace.level_tensor(level)
         g = grads[level_tensor]
-        G = ops.sum_last(g) if level_tensor.ndim == 2 else g
+        G = ops.sum_axes(g, (-1,)) if level_tensor.ndim == 2 else g
         cost = ops.add(cost, hinge_penalty(G, mask, cfg.strength))
     return cost

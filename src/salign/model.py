@@ -282,7 +282,7 @@ def _classify(embedded, params, config, query_vec, dropout_mask):
     (B, d) in qa mode and None in event mode."""
     intermediate = _conv_stack(embedded, params)
     if query_vec is not None:
-        intermediate = ops.mul_rows(intermediate, query_vec)
+        intermediate = ops.mul(intermediate, ops.expand_axes(query_vec, intermediate.shape, (-2,)))
     seq_max = ops.maxpool_axis(intermediate, axis=-2)
     dim_max = ops.maxpool_axis(intermediate, axis=-1)
     features = ops.concat_last(seq_max, dim_max)
@@ -291,7 +291,7 @@ def _classify(embedded, params, config, query_vec, dropout_mask):
     lead = features.shape[:-1]
     flat = ops.reshape(features, (int(np.prod(lead)) if lead else 1, config.feature_size))
     scores = ops.matmul2d(flat, ops.reshape(params.out_weight, (config.feature_size, 1)))
-    logit = ops.reshape(ops.add_vec_last(scores, params.out_bias), lead)
+    logit = ops.reshape(ops.add(scores, params.out_bias), lead)
     return ForwardTrace(embedded, intermediate, seq_max, dim_max, query_vec, logit)
 
 

@@ -7,8 +7,9 @@ to the active :class:`~salign.engine.Graph`, if any. Nonsmooth ops (relu,
 maximum, max-pooling) freeze their routing pattern at forward time, so
 their second derivative is zero almost everywhere.
 
-Broadcasting is restricted to scalar-with-tensor; structured shape changes
-go through explicit ops (repeat/sum over a named axis, concat/slice/pad).
+add and mul broadcast an operand whose shape is a trailing suffix of the
+other's (a scalar is the empty suffix); every other shape change goes
+through an explicit op (sum_axes/expand_axes, concat/slice/pad, reshape).
 """
 
 from __future__ import annotations
@@ -34,25 +35,35 @@ def _node(op, values, parents, vjp):
     return out
 
 
-def _scalar_ok(a, b):
-    return a.shape == b.shape or a.ndim == 0 or b.ndim == 0
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
+def _broadcast(name, a, b):
+    """The leading axes each operand's gradient is summed over. Shapes must
+    be equal, or one must be a trailing suffix of the other (a scalar is the
+    empty suffix); the shorter operand is copied along the missing axes."""
+    if a.shape == b.shape:
+        return (), ()
+    lead = tuple(range(abs(a.ndim - b.ndim)))
+    if a.shape == b.shape[len(lead) :]:
+        return lead, ()
+    if b.shape == a.shape[len(lead) :]:
+        return (), lead
+    raise ValueError(f"{name}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def _unbroadcast(g, axes):
+    return sum_axes(g, axes) if axes else g
+
+
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if not _scalar_ok(a, b):
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    axes_a, axes_b = _broadcast("add", a, b)
 
     def vjp(g, needs):
-        da = db = None
-        if needs[0]:
-            da = sum_all(g) if a.ndim == 0 and g.ndim > 0 else g
-        if needs[1]:
-            db = sum_all(g) if b.ndim == 0 and g.ndim > 0 else g
+        da = _unbroadcast(g, axes_a) if needs[0] else None
+        db = _unbroadcast(g, axes_b) if needs[1] else None
         return da, db
 
     return _node("add", a.values + b.values, (a, b), vjp)
@@ -60,19 +71,11 @@ def add(a, b):
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if not _scalar_ok(a, b):
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+    axes_a, axes_b = _broadcast("mul", a, b)
 
     def vjp(g, needs):
-        da = db = None
-        if needs[0]:
-            da = mul(g, b)
-            if a.ndim == 0 and da.ndim > 0:
-                da = sum_all(da)
-        if needs[1]:
-            db = mul(g, a)
-            if b.ndim == 0 and db.ndim > 0:
-                db = sum_all(db)
+        da = _unbroadcast(mul(g, b), axes_a) if needs[0] else None
+        db = _unbroadcast(mul(g, a), axes_b) if needs[1] else None
         return da, db
 
     return _node("mul", a.values * b.values, (a, b), vjp)
@@ -153,131 +156,43 @@ def softplus(a):
 
 
 # ---------------------------------------------------------------------------
-# reductions and their broadcast inverses
+# reduction and its broadcast adjoint
 
 
-def sum_all(a):
+def _axes(axes, ndim):
+    """axes as sorted nonnegative ints; repeated or out-of-range ones fail."""
+    out = tuple(sorted(ax + ndim if ax < 0 else ax for ax in axes))
+    if len(set(out)) != len(out) or not all(0 <= ax < ndim for ax in out):
+        raise ValueError(f"bad axes {tuple(axes)} for {ndim} dimensions")
+    return out
+
+
+def sum_axes(a, axes=None):
+    """Sum over the named axes and remove them; None means every axis."""
     a = _as_tensor(a)
     shape = a.shape
+    axes = tuple(range(a.ndim)) if axes is None else _axes(axes, a.ndim)
 
     def vjp(g, needs):
-        return (broadcast_from_scalar(g, shape),)
+        return (expand_axes(g, shape, axes),)
 
-    return _node("sum_all", np.sum(a.values), (a,), vjp)
+    return _node("sum_axes", a.values.sum(axis=axes), (a,), vjp)
 
 
-def broadcast_from_scalar(a, shape):
+def expand_axes(a, shape, axes):
+    """Insert the named axes of shape and copy a along them (sum_axes' adjoint)."""
     a = _as_tensor(a)
-    if a.ndim != 0:
-        raise ValueError("broadcast_from_scalar expects a scalar")
-    shape = tuple(shape)
+    shape = tuple(int(n) for n in shape)
+    axes = _axes(axes, len(shape))
+    kept = tuple(n for i, n in enumerate(shape) if i not in axes)
+    if a.shape != kept:
+        raise ValueError(f"expand_axes: {a.shape} does not fill {shape} minus axes {axes}")
 
     def vjp(g, needs):
-        return (sum_all(g),)
+        return (sum_axes(g, axes),)
 
-    return _node("broadcast_from_scalar", np.full(shape, float(a.values)), (a,), vjp)
-
-
-def sum_last(a):
-    """Sum over the last axis."""
-    a = _as_tensor(a)
-    if a.ndim < 1:
-        raise ValueError("sum_last needs ndim >= 1")
-    k = a.shape[-1]
-
-    def vjp(g, needs):
-        return (repeat_last(g, k),)
-
-    return _node("sum_last", a.values.sum(axis=-1), (a,), vjp)
-
-
-def repeat_last(a, k):
-    """Append a trailing axis of length k holding copies."""
-    a = _as_tensor(a)
-    k = int(k)
-
-    def vjp(g, needs):
-        return (sum_last(g),)
-
-    return _node("repeat_last", np.repeat(a.values[..., None], k, axis=-1), (a,), vjp)
-
-
-def sum_rows(a):
-    """Sum over the row axis (axis -2)."""
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ValueError("sum_rows needs ndim >= 2")
-    n = a.shape[-2]
-
-    def vjp(g, needs):
-        return (repeat_rows(g, n),)
-
-    return _node("sum_rows", a.values.sum(axis=-2), (a,), vjp)
-
-
-def repeat_rows(a, n):
-    """Insert a row axis (at -2) of length n holding copies."""
-    a = _as_tensor(a)
-    n = int(n)
-
-    def vjp(g, needs):
-        return (sum_rows(g),)
-
-    return _node("repeat_rows", np.repeat(a.values[..., None, :], n, axis=-2), (a,), vjp)
-
-
-def sum_except_last(a):
-    """Reduce all leading axes, leaving shape (a.shape[-1],)."""
-    a = _as_tensor(a)
-    if a.ndim < 1:
-        raise ValueError("sum_except_last needs ndim >= 1")
-    shape = a.shape
-    axes = tuple(range(a.ndim - 1))
-
-    def vjp(g, needs):
-        return (broadcast_except_last(g, shape),)
-
-    return _node("sum_except_last", a.values.sum(axis=axes), (a,), vjp)
-
-
-def broadcast_except_last(a, shape):
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    if a.shape != shape[-1:]:
-        raise ValueError(f"broadcast_except_last: {a.shape} -> {shape}")
-
-    def vjp(g, needs):
-        return (sum_except_last(g),)
-
-    return _node("broadcast_except_last", np.broadcast_to(a.values, shape).copy(), (a,), vjp)
-
-
-def add_vec_last(x, v):
-    """Add a vector along the last axis of x."""
-    x, v = _as_tensor(x), _as_tensor(v)
-    if v.ndim != 1 or x.shape[-1:] != v.shape:
-        raise ValueError(f"add_vec_last: {x.shape} + {v.shape}")
-
-    def vjp(g, needs):
-        dx = g if needs[0] else None
-        dv = sum_except_last(g) if needs[1] else None
-        return dx, dv
-
-    return _node("add_vec_last", x.values + v.values, (x, v), vjp)
-
-
-def mul_rows(x, v):
-    """Multiply every row of x (axis -2) by v; v.shape == x.shape without -2."""
-    x, v = _as_tensor(x), _as_tensor(v)
-    if x.ndim < 2 or v.shape != x.shape[:-2] + x.shape[-1:]:
-        raise ValueError(f"mul_rows: {x.shape} rows * {v.shape}")
-
-    def vjp(g, needs):
-        dx = mul_rows(g, v) if needs[0] else None
-        dv = sum_rows(mul(g, x)) if needs[1] else None
-        return dx, dv
-
-    return _node("mul_rows", x.values * v.values[..., None, :], (x, v), vjp)
+    values = np.broadcast_to(np.expand_dims(a.values, axes), shape).copy()
+    return _node("expand_axes", values, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +434,7 @@ def conv1d_same(x, kernel, bias):
     half = w // 2
     windows = concat_last(*[shift_rows(x, half - t) for t in range(w)])
     flat_kernel = reshape(kernel, (w * d_in, d_out))
-    return add_vec_last(matmul_last(windows, flat_kernel), bias)
+    return add(matmul_last(windows, flat_kernel), bias)
 
 
 # Arithmetic sugar on Tensor.

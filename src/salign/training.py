@@ -105,19 +105,19 @@ def _batch_cost(examples, params, config, cfg, masks):
     n = len(examples)
     trace = encode_batch(examples, params, config, dropout_masks=masks)
     labels = np.array([ex.label for ex in examples], dtype=np.float64)
-    mean_loss = ops.scale(ops.sum_all(task_loss(trace.logit, labels)), 1.0 / n)
+    mean_loss = ops.scale(ops.sum_axes(task_loss(trace.logit, labels)), 1.0 / n)
     if not cfg.saliency.enabled:
         return mean_loss, mean_loss.item(), 0.0
     levels = cfg.saliency.levels
     targets = [trace.level_tensor(level) for level in levels]
-    root = ops.sum_all(trace.logit)
+    root = ops.sum_axes(trace.logit)
     level_grads = grad(root, targets, create_graph=True)
     mask = np.stack([padded_mask(ex, config.max_len) for ex in examples])
     penalty = None
     for level in levels:
         level_tensor = trace.level_tensor(level)
         g = level_grads[level_tensor]
-        G = ops.sum_last(g) if g.ndim == 3 else g
+        G = ops.sum_axes(g, (-1,)) if g.ndim == 3 else g
         term = hinge_penalty(G, mask, 1.0)
         penalty = term if penalty is None else ops.add(penalty, term)
     penalty = ops.scale(penalty, cfg.saliency.strength / n)

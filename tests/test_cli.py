@@ -323,6 +323,15 @@ class TestSaliencyCommand:
         assert len(list((tmp_path / "maps").glob("heatmap_*.html"))) == 300
 
 
+    @pytest.mark.parametrize("flag,value", [("--limit", "-1"), ("--limit", "0"), ("--k", "0")])
+    def test_nonpositive_limit_or_k_exits_1_before_loading(self, workspace, tmp_path, capsys, flag, value):
+        out = tmp_path / "maps"
+        assert run_cli("saliency", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
+                       "--data", str(workspace / "test.jsonl"), flag, value, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be at least 1, got {value}"]
+        assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_passes_and_exits_zero(self, capsys):
         assert run_cli("gradcheck", "--d", "6", "--n", "4", "--examples", "2") == 0
@@ -334,6 +343,11 @@ class TestGradcheckCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert "of 5 requested" in err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_nonpositive_examples_exits_1_with_one_line(self, capsys, count):
+        assert run_cli("gradcheck", "--examples", count) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: examples must be positive"]
 
 
 class TestUsageErrors:

@@ -51,7 +51,7 @@ class TestTokenSaliency:
 
     def test_linear_map_gives_dimension_count(self):
         level = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        logit = ops.sum_all(level)
+        logit = ops.sum_axes(level)
         G = token_saliency(level, logit)
         np.testing.assert_allclose(G.values, [4.0, 4.0, 4.0])
 
@@ -64,7 +64,7 @@ class TestTokenSaliency:
 
     def test_decision_level_passes_through(self):
         level = Tensor(np.random.default_rng(1).normal(size=(4,)))
-        logit = ops.sum_all(ops.mul(level, level))
+        logit = ops.sum_axes(ops.mul(level, level))
         G = token_saliency(level, logit)
         np.testing.assert_allclose(G.values, 2 * level.values, rtol=1e-12)
 

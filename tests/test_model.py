@@ -284,7 +284,7 @@ class TestBatchedQueryTower:
     def test_logits_and_level_gradients_match_per_example_path(self):
         batch = encode_batch(self.examples, self.params, self.config)
         targets = [batch.level_tensor(level) for level in LEVELS]
-        batch_grads = grad(ops.sum_all(batch.logit), targets)
+        batch_grads = grad(ops.sum_axes(batch.logit), targets)
         for i, ex in enumerate(self.examples):
             single = encode(ex, self.params, self.config,
                             query_repr_override=self.alone(ex.query, self.params))

@@ -54,7 +54,7 @@ def test_maxpool_backward_conserves_gradient_mass():
         x = Tensor(rng.normal(size=shape))
         upstream = rng.normal(size=tuple(s for i, s in enumerate(shape) if i != axis))
         pooled = ops.maxpool_axis(x, axis)
-        y = ops.sum_all(ops.mul(pooled, Tensor(upstream)))
+        y = ops.sum_axes(ops.mul(pooled, Tensor(upstream)))
         g = grad(y, [x])[x].values
         np.testing.assert_allclose(g.sum(axis=axis), upstream, atol=1e-12)
         # exactly one routed slot per pooled group

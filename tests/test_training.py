@@ -194,7 +194,7 @@ class TestTrainLoop:
 
         def mean_loss():
             trace = encode_batch(train_set.examples, params, config)
-            return ops.scale(ops.sum_all(task_loss(trace.logit, labels)), 1 / len(labels))
+            return ops.scale(ops.sum_axes(task_loss(trace.logit, labels)), 1 / len(labels))
 
         previous = np.inf
         for _ in range(15):
