@@ -3,9 +3,9 @@
 from .engine import Tensor, Graph, grad, no_grad, set_grad_enabled
 from . import ops
 from .gradcheck import finite_diff_check, finite_diff_check_many
-from .model import ModelConfig, ModelParams, ForwardTrace, encode, encode_batch
+from .model import ModelConfig, ModelParams, ForwardTrace, encode_batch
 from .data import Example, Dataset, SynthConfig, Vocabulary, gen_synthetic, load_jsonl, save_jsonl
-from .loss import SaliencyConfig, task_loss, token_saliency, hinge_penalty, total_cost
+from .loss import SaliencyConfig, task_loss, hinge_penalty, total_cost
 from .training import TrainConfig, TrainLog, adam_step, train
 from .evaluation import (
     MetricsReport,
@@ -30,7 +30,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "ForwardTrace",
-    "encode",
     "encode_batch",
     "Example",
     "Dataset",
@@ -41,7 +40,6 @@ __all__ = [
     "save_jsonl",
     "SaliencyConfig",
     "task_loss",
-    "token_saliency",
     "hinge_penalty",
     "total_cost",
     "TrainConfig",

@@ -23,6 +23,8 @@ _FIRST_LEXICON_ID = 4
 
 RESERVED_TOKENS = ("<pad>", "<unk>", "<blank>")
 
+MODES = ("event", "qa")
+
 
 @dataclass
 class Example:
@@ -135,7 +137,7 @@ class SynthConfig:
     context_rate_neg: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("event", "qa"):
+        if self.mode not in MODES:
             raise ValueError("mode must be event or qa")
         if self.count < 1:
             raise ValueError("count must be positive")
@@ -326,19 +328,15 @@ def load_embeddings(path, vocab: Vocabulary, dim=None, seed=0):
     return dim, table, coverage
 
 
-def remove_marked(example: Example, mask_with_unknown=False) -> Example:
-    """Delete (or mask) every token the rationale marks in a positive example.
+def remove_marked(example: Example) -> Example:
+    """Delete every token the rationale marks in a positive example.
 
-    Deletion closes ranks and zeroes the mask at the new length; masking
-    keeps the length and substitutes the unknown token. The query is left
-    untouched.
+    Deletion closes ranks and zeroes the mask at the new length. The query
+    is left untouched.
     """
     if example.label != 1:
         raise ValueError("remove_marked applies to positive examples only")
     if example.marked_count < 1:
         raise ValueError("remove_marked needs at least one marked token")
-    if mask_with_unknown:
-        tokens = [UNK_ID if z else t for t, z in zip(example.tokens, example.rationale)]
-        return Example(tokens=tokens, query=example.query, label=1, rationale=[0] * len(tokens))
     tokens = [t for t, z in zip(example.tokens, example.rationale) if not z]
     return Example(tokens=tokens, query=example.query, label=1, rationale=[0] * len(tokens))

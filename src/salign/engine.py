@@ -73,7 +73,8 @@ class Tensor:
         return self.values.size
 
     def item(self):
-        return float(self.values)
+        """The value of a one-element tensor as a Python float."""
+        return self.values.item()
 
     def detach(self):
         """Leaf tensor sharing this tensor's values."""

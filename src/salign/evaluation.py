@@ -174,7 +174,7 @@ def delta_tpr(tpr_before, tpr_after):
     return 100.0 * (tpr_before - tpr_after) / tpr_before
 
 
-def verify_tpr_drop(params, config, positives, mask_with_unknown=False) -> VerificationReport:
+def verify_tpr_drop(params, config, positives) -> VerificationReport:
     """True-positive rate before and after deleting every marked token.
 
     positives must be labelled 1 with at least one marked token each. When
@@ -188,7 +188,7 @@ def verify_tpr_drop(params, config, positives, mask_with_unknown=False) -> Verif
         if ex.label != 1 or ex.marked_count < 1:
             raise ValueError("verification needs marked positive examples")
     _, before = predict_batch(params, config, positives)
-    stripped = [remove_marked(ex, mask_with_unknown) for ex in positives]
+    stripped = [remove_marked(ex) for ex in positives]
     _, after = predict_batch(params, config, stripped)
     tpr0 = 100.0 * float(np.mean(before == 1))
     tpr1 = 100.0 * float(np.mean(after == 1))

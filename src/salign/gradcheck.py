@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import ops
-from .engine import grad, no_grad
+from .engine import Graph, grad
 from .evaluation import saliency_scores
-from .model import pad_ids
+from .model import LEVELS, ModelConfig, ModelParams, encode_batch
 
 
 def finite_diff_check(f, x, eps=1e-4):
@@ -103,44 +102,29 @@ def _pool_margin_unique(values, axis):
     return worst
 
 
-def _tower_margins(x, params):
-    """Kink margins of one conv stack: relu distances, live max-gap, outputs."""
-    margins = []
-    activations = []
-    for w in sorted(params.kernels):
-        kernel, bias = params.kernels[w]
-        with no_grad():
-            pre = ops.conv1d_same(x, kernel, bias).values
-        margins.append(relu_margin(pre))
-        activations.append(np.maximum(pre, 0.0))
-    combined = activations[0]
-    for other in activations[1:]:
-        both_live = (combined > 0) & (other > 0)
-        if both_live.any():
-            margins.append(float(np.min(np.abs(combined[both_live] - other[both_live]))))
-        combined = np.maximum(combined, other)
-    return min(margins), combined
-
-
 def model_kink_margin(params, config, example, saliency_cfg=None):
     """Distance of one example's forward (and hinge inputs) to the nearest
     relu / elementwise-max / max-pool / hinge kink under the current
     parameters. Used to resample gradient-check inputs per the smoothness
-    rule. The hinge inputs are the marked tokens' per-level gradients, all
+    rule. The forward margins are read off the nodes of one encode_batch
+    pass; the hinge inputs are the marked tokens' per-level gradients, all
     levels from one saliency_scores backward pass."""
-    emb = params.embedding.values
-    x = emb[pad_ids(example.tokens, config.max_len)]
-    margin, intermediate = _tower_margins(x, params)
-    if config.mode == "qa":
-        q_x = emb[np.asarray(example.query, dtype=np.int64)]
-        q_margin, q_inter = _tower_margins(q_x, params)
-        margin = min(margin, q_margin, _pool_margin_unique(q_inter, 0))
-        intermediate = intermediate * np.max(q_inter, axis=0)
-    margin = min(
-        margin,
-        _pool_margin_unique(intermediate, 0),
-        _pool_margin_unique(intermediate, 1),
-    )
+    with Graph() as graph:
+        trace = encode_batch([example], params, config)
+    margins = []
+    for node in graph.nodes:
+        if node.op == "relu":
+            margins.append(relu_margin(node.parents[0].values))
+        elif node.op == "maximum":
+            a, b = (p.values for p in node.parents)
+            both_live = (a > 0) & (b > 0)
+            if both_live.any():
+                margins.append(float(np.min(np.abs(a[both_live] - b[both_live]))))
+    pooled = [(trace.intermediate, 0), (trace.intermediate, 1)]
+    if trace.query_vec is not None:
+        pooled.append((trace.query_vec.parents[0], 0))  # a batch of one pads no query row
+    margins += [_pool_margin_unique(t.values[0], axis) for t, axis in pooled]
+    margin = min(margins)
     marked = np.array(example.rationale[: config.max_len]) > 0
     if saliency_cfg is not None and saliency_cfg.enabled and marked.any():
         (scores,), _ = saliency_scores(params, config, [example], saliency_cfg.levels)
@@ -188,7 +172,6 @@ def model_cost_gradcheck(
     """
     from .data import SynthConfig, gen_synthetic
     from .loss import SaliencyConfig, total_cost
-    from .model import LEVELS, ModelConfig, ModelParams, encode
 
     config = ModelConfig(vocab_size=vocab_size, embed_dim=embed_dim, max_len=max_len)
     params = ModelParams(config, seed=seed)
@@ -210,7 +193,7 @@ def model_cost_gradcheck(
     for ex in chosen:
 
         def cost():
-            return total_cost(encode(ex, params, config), ex, saliency_cfg)
+            return total_cost(encode_batch([ex], params, config), [ex], saliency_cfg)
 
         err, _ = finite_diff_check_many(cost, params.tensors(), eps=eps)
         errors.append(err)

@@ -53,17 +53,6 @@ def task_loss(logit, y):
     return ops.softplus(ops.mul(logit, Tensor(sign)))
 
 
-def token_saliency(level_tensor, logit, create_graph=False):
-    """Per-token gradient sums of the score with respect to one level.
-
-    For an (n, d) level the d gradients of each row are summed; the
-    decision level is already one value per position. A level tensor
-    outside the logit's graph yields zeros.
-    """
-    g = grad(logit, [level_tensor], create_graph=create_graph)[level_tensor]
-    return ops.sum_axes(g, (-1,)) if level_tensor.ndim == 2 else g
-
-
 def hinge_penalty(G, Z, weight):
     """weight * sum_i max(0, -Z_i * G_i); only marked tokens with negative
     gradients are penalized, and a gradient of exactly zero costs nothing."""
@@ -80,23 +69,25 @@ def padded_mask(example, n_max):
     return np.array(mask + [0] * (n_max - len(mask)), dtype=np.float64)
 
 
-def total_cost(trace: ForwardTrace, example, cfg: SaliencyConfig):
-    """Task loss plus one hinge term per enabled level (single example).
+def total_cost(trace: ForwardTrace, examples, cfg: SaliencyConfig):
+    """Mean over a batch of task loss plus one hinge term per enabled level.
 
-    Level gradients are taken with create_graph, so the returned scalar is
-    optimizable with respect to the parameters. With an all-zero mask or a
-    zero strength the result equals the task loss exactly.
+    trace is encode_batch(examples, ...). The level gradients of the summed
+    logit are taken with create_graph, so the returned scalar is optimizable
+    with respect to the parameters. With an all-zero mask or a zero strength
+    the result equals the mean task loss exactly.
     """
-    loss = task_loss(trace.logit, example.label)
+    n = len(examples)
+    labels = np.array([ex.label for ex in examples], dtype=np.float64)
+    mean_loss = ops.scale(ops.sum_axes(task_loss(trace.logit, labels)), 1.0 / n)
     if not cfg.enabled:
-        return loss
+        return mean_loss
     targets = [trace.level_tensor(level) for level in cfg.levels]
-    grads = grad(trace.logit, targets, create_graph=True)
-    mask = padded_mask(example, trace.dim_max.shape[-1])
-    cost = loss
-    for level in cfg.levels:
-        level_tensor = trace.level_tensor(level)
-        g = grads[level_tensor]
-        G = ops.sum_axes(g, (-1,)) if level_tensor.ndim == 2 else g
-        cost = ops.add(cost, hinge_penalty(G, mask, cfg.strength))
-    return cost
+    level_grads = grad(ops.sum_axes(trace.logit), targets, create_graph=True)
+    mask = np.stack([padded_mask(ex, trace.dim_max.shape[-1]) for ex in examples])
+    penalty = None
+    for target in targets:
+        g = level_grads[target]
+        term = hinge_penalty(ops.sum_axes(g, (-1,)) if g.ndim == 3 else g, mask, 1.0)
+        penalty = term if penalty is None else ops.add(penalty, term)
+    return ops.add(mean_loss, ops.scale(penalty, cfg.strength / n))

@@ -22,15 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .data import BLANK_ID, MODES, PAD_ID
 from .engine import Tensor
 
-PAD_ID = 0
-UNK_ID = 1
-BLANK_ID = 2
-
 LEVELS = ("word", "intermediate", "decision")
-
-MODES = ("event", "qa")
 
 
 @dataclass
@@ -194,14 +189,14 @@ def load_checkpoint(path):
 
 @dataclass
 class ForwardTrace:
-    """Graph-connected intermediates of one forward pass.
+    """Graph-connected intermediates of one batched forward pass.
 
-    embedded:     (n, d) or (B, n, d) token embeddings
-    intermediate: same shape, after the dual convolutions and their max
-    seq_max:      (d,) / (B, d) max over positions
-    dim_max:      (n,) / (B, n) max over embedding dimensions
-    query_vec:    (d,) / (B, d) pooled query representation, qa mode only
-    logit:        scalar / (B,) pre-sigmoid score
+    embedded:     (B, n, d) token embeddings
+    intermediate: (B, n, d), after the dual convolutions and their max
+    seq_max:      (B, d) max over positions
+    dim_max:      (B, n) max over embedding dimensions
+    query_vec:    (B, d) pooled query representation, qa mode only
+    logit:        (B,) pre-sigmoid score
     """
 
     embedded: Tensor
@@ -241,12 +236,6 @@ def _check_query(query, config):
         raise ValueError("event mode forbids a query")
 
 
-def embed(tokens, params: ModelParams, config: ModelConfig):
-    """Embedding rows for one padded sentence, shape (max_len, embed_dim)."""
-    _check_ids(tokens, config)
-    return ops.gather_rows(params.embedding, pad_ids(tokens, config.max_len))
-
-
 def _conv_stack(x, params):
     """relu(conv) per window, combined with an elementwise max."""
     outs = []
@@ -278,8 +267,8 @@ def _query_reprs(queries, params, config):
 
 
 def _classify(embedded, params, config, query_vec, dropout_mask):
-    """Shared forward; embedded is (n, d) or (B, n, d), query_vec (d,) or
-    (B, d) in qa mode and None in event mode."""
+    """Shared forward; embedded is (B, n, d), query_vec (B, d) in qa mode
+    and None in event mode, dropout_mask None or (B, feature_size)."""
     intermediate = _conv_stack(embedded, params)
     if query_vec is not None:
         intermediate = ops.mul(intermediate, ops.expand_axes(query_vec, intermediate.shape, (-2,)))
@@ -288,36 +277,17 @@ def _classify(embedded, params, config, query_vec, dropout_mask):
     features = ops.concat_last(seq_max, dim_max)
     if dropout_mask is not None:
         features = ops.mul(features, Tensor(dropout_mask))
-    lead = features.shape[:-1]
-    flat = ops.reshape(features, (int(np.prod(lead)) if lead else 1, config.feature_size))
-    scores = ops.matmul2d(flat, ops.reshape(params.out_weight, (config.feature_size, 1)))
-    logit = ops.reshape(ops.add(scores, params.out_bias), lead)
+    scores = ops.matmul2d(features, ops.reshape(params.out_weight, (config.feature_size, 1)))
+    logit = ops.reshape(ops.add(scores, params.out_bias), features.shape[:1])
     return ForwardTrace(embedded, intermediate, seq_max, dim_max, query_vec, logit)
 
 
-def encode(example, params, config, dropout_mask=None, query_repr_override=None):
-    """Forward one example into a ForwardTrace (all members feed the logit).
-
-    qa mode requires a query, event mode forbids one. query_repr_override
-    is a testing seam substituting the pooled query vector.
-    """
-    query = getattr(example, "query", None)
-    if query is not None or query_repr_override is None:  # an override stands in for a qa query
-        _check_query(query, config)
-    embedded = embed(example.tokens, params, config)
-    query_vec = None
-    if config.mode == "qa":
-        query_vec = query_repr_override
-        if query_vec is None:
-            query_vec = ops.reshape(_query_reprs([query], params, config), (config.embed_dim,))
-    return _classify(embedded, params, config, query_vec, dropout_mask)
-
-
 def encode_batch(examples, params, config, dropout_masks=None):
-    """Forward a batch at once; trace members gain a leading batch axis.
+    """Forward a batch into one ForwardTrace; a single example is a batch of
+    one. qa mode requires a query per example, event mode forbids one.
 
-    Examples are independent, so per-example gradients of the batched trace
-    equal the single-example ones.
+    Examples are independent, so the gradient of the summed logit gives each
+    example its own per-token gradients.
     """
     if not examples:
         raise ValueError("encode_batch needs at least one example")

@@ -101,7 +101,10 @@ def adam_step(params: ModelParams, grads, state: AdamState, cfg: TrainConfig):
 
 
 def _batch_cost(examples, params, config, cfg, masks):
-    """Mean cost of one batch; returns (cost tensor, task value, penalty value)."""
+    """Mean cost of one batch; returns (cost tensor, task value, penalty value).
+
+    Builds loss.total_cost's graph op for op, but takes the level gradients
+    through this module's grad, which the benchmark's tracer times."""
     n = len(examples)
     trace = encode_batch(examples, params, config, dropout_masks=masks)
     labels = np.array([ex.label for ex in examples], dtype=np.float64)

@@ -1,8 +1,8 @@
 import pytest
 
 import salign.evaluation
+import salign.gradcheck
 import salign.loss
-import salign.model
 from salign.engine import grad_enabled
 
 
@@ -10,9 +10,9 @@ from salign.engine import grad_enabled
 def passes(monkeypatch):
     """Record every model pass a measurement job makes.
 
-    "forward" lists (batch size, graph built) per call to the batched or the
-    single-example forward; "backward" counts calls to the gradient routine
-    from evaluation and from loss.token_saliency.
+    "forward" lists (batch size, graph built) per call to the forward from
+    evaluation and from gradcheck; "backward" counts calls to the gradient
+    routine from evaluation and from loss.
     """
     log = {"forward": [], "backward": 0}
 
@@ -32,7 +32,8 @@ def passes(monkeypatch):
 
     ev = salign.evaluation
     monkeypatch.setattr(ev, "encode_batch", forward_spy(ev.encode_batch, len))
-    monkeypatch.setattr(salign.model, "encode", forward_spy(salign.model.encode, lambda _: 1))
+    gc = salign.gradcheck
+    monkeypatch.setattr(gc, "encode_batch", forward_spy(gc.encode_batch, len))
     monkeypatch.setattr(ev, "grad", backward_spy(ev.grad))
     monkeypatch.setattr(salign.loss, "grad", backward_spy(salign.loss.grad))
     return log

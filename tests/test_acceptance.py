@@ -32,7 +32,7 @@ from salign.evaluation import (
 )
 from salign.gradcheck import model_cost_gradcheck
 from salign.loss import SaliencyConfig, task_loss, total_cost
-from salign.model import ModelConfig, ModelParams, encode
+from salign.model import ModelConfig, ModelParams, encode_batch
 from salign.training import TrainConfig, train
 
 import test_properties
@@ -167,11 +167,11 @@ def test_criterion_3_identity_invariant():
                                    min_len=4, max_len=10, seed=1))
     worst = 0.0
     for ex in ds.examples:
-        trace = encode(ex, params, config)
+        trace = encode_batch([ex], params, config)
         loss = task_loss(trace.logit, ex.label).item()
         if ex.marked_count == 0:
-            worst = max(worst, abs(total_cost(trace, ex, SaliencyConfig(strength=0.5)).item() - loss))
-        worst = max(worst, abs(total_cost(trace, ex, SaliencyConfig(strength=0.0)).item() - loss))
+            worst = max(worst, abs(total_cost(trace, [ex], SaliencyConfig(strength=0.5)).item() - loss))
+        worst = max(worst, abs(total_cost(trace, [ex], SaliencyConfig(strength=0.0)).item() - loss))
     assert worst < 1e-15
 
     train_set, dev_set = ds.subset(0, 40), ds.subset(40, 60)

@@ -271,12 +271,6 @@ class TestRemoveMarked:
         with pytest.raises(ValueError):
             remove_marked(ex)
 
-    def test_mask_variant_keeps_length(self):
-        ex = Example(tokens=[10, 11, 12], query=None, label=1, rationale=[0, 1, 0])
-        out = remove_marked(ex, mask_with_unknown=True)
-        assert out.tokens == [10, 1, 12]
-        assert out.rationale == [0, 0, 0]
-
     def test_order_of_survivors_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

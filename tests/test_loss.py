@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from salign import Tensor, grad, ops
+from salign import Tensor, grad
 from salign.data import Example, SynthConfig, gen_synthetic
+from salign.evaluation import saliency_scores
 from salign.gradcheck import (
     finite_diff_check_many,
     model_cost_gradcheck,
     model_kink_margin,
     select_smooth_positives,
 )
-from salign.loss import SaliencyConfig, hinge_penalty, padded_mask, task_loss, token_saliency, total_cost
-from salign.model import ModelConfig, ModelParams, encode
+from salign.loss import SaliencyConfig, hinge_penalty, padded_mask, task_loss, total_cost
+from salign.model import ModelConfig, ModelParams, encode_batch
 
 
 def example(tokens, label=1, marked=()):
@@ -45,34 +46,24 @@ class TestTaskLoss:
 
 
 class TestTokenSaliency:
+    """Per-token gradient sums as saliency_scores gives them."""
+
     def setup_method(self):
         self.config = ModelConfig(vocab_size=20, embed_dim=4, max_len=5)
         self.params = ModelParams(self.config, seed=0)
 
-    def test_linear_map_gives_dimension_count(self):
-        level = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        logit = ops.sum_axes(level)
-        G = token_saliency(level, logit)
-        np.testing.assert_allclose(G.values, [4.0, 4.0, 4.0])
-
-    def test_disconnected_level_gives_zeros(self):
-        level = Tensor(np.ones((3, 4)))
-        unrelated = Tensor(2.0)
-        logit = ops.mul(unrelated, unrelated)
-        G = token_saliency(level, logit)
-        np.testing.assert_array_equal(G.values, np.zeros(3))
-
     def test_decision_level_passes_through(self):
-        level = Tensor(np.random.default_rng(1).normal(size=(4,)))
-        logit = ops.sum_axes(ops.mul(level, level))
-        G = token_saliency(level, logit)
-        np.testing.assert_allclose(G.values, 2 * level.values, rtol=1e-12)
+        # the logit is affine in dim_max, so its gradient is the head's weights
+        ex = example([4, 9, 12, 7], marked=(1,))
+        (scores,), _ = saliency_scores(self.params, self.config, [ex], ("decision",))
+        d = self.config.embed_dim
+        np.testing.assert_array_equal(scores["decision"], self.params.out_weight.values[d : d + 4])
 
     def test_matches_uniform_perturbation_differences(self):
         # G_i approximates d(logit)/d(eps) when all of row i moves by eps
         ex = example([4, 9, 12, 7], marked=(1,))
-        trace = encode(ex, self.params, self.config)
-        G = token_saliency(trace.embedded, trace.logit).values
+        (scores,), _ = saliency_scores(self.params, self.config, [ex], ("word",))
+        G = scores["word"]
         eps = 1e-5
         for i in range(3):
             bumped_params = ModelParams(self.config, seed=0)
@@ -82,7 +73,7 @@ class TestTokenSaliency:
                 bumped_params.embedding.values[...] = self.params.embedding.values
                 row = trace_for_ids[i]
                 bumped_params.embedding.values[row] += sign * eps
-                val = encode(ex, bumped_params, self.config).logit.item()
+                val = encode_batch([ex], bumped_params, self.config).logit.item()
                 up, down = (val, down) if sign > 0 else (up, val)
             fd = (up - down) / (2 * eps)
             assert abs(G[i] - fd) / max(1.0, abs(fd)) < 1e-5
@@ -135,21 +126,21 @@ class TestTotalCost:
 
     def test_negative_example_cost_is_task_loss_bitwise(self):
         ex = example([4, 8, 15], label=0)
-        trace = encode(ex, self.params, self.config)
-        cost = total_cost(trace, ex, SaliencyConfig(strength=0.5))
+        trace = encode_batch([ex], self.params, self.config)
+        cost = total_cost(trace, [ex], SaliencyConfig(strength=0.5))
         loss = task_loss(trace.logit, 0)
         assert cost.item() == loss.item()
 
     def test_zero_strength_given_any_mask(self):
         ex = example([4, 8, 15], marked=(0, 2))
-        trace = encode(ex, self.params, self.config)
-        cost = total_cost(trace, ex, SaliencyConfig(strength=0.0))
+        trace = encode_batch([ex], self.params, self.config)
+        cost = total_cost(trace, [ex], SaliencyConfig(strength=0.0))
         assert cost.item() == task_loss(trace.logit, 1).item()
 
     def test_all_zero_mask_identity_within_1e15(self):
         ex = Example(tokens=[4, 8, 15], query=None, label=1, rationale=[0, 0, 0])
-        trace = encode(ex, self.params, self.config)
-        cost = total_cost(trace, ex, SaliencyConfig(strength=0.9))
+        trace = encode_batch([ex], self.params, self.config)
+        cost = total_cost(trace, [ex], SaliencyConfig(strength=0.9))
         assert abs(cost.item() - task_loss(trace.logit, 1).item()) < 1e-15
 
     def test_full_cost_gradient_matches_finite_differences(self):
@@ -159,11 +150,12 @@ class TestTotalCost:
     def test_single_level_cost_matches_manual_formula(self):
         # strength * sum_i max(0, -Z_i * sum_j dlogit/dW_ij) added to the loss
         ex = example([4, 8, 15, 9], marked=(1, 3))
-        trace = encode(ex, self.params, self.config)
+        trace = encode_batch([ex], self.params, self.config)
         cfg = SaliencyConfig(strength=0.7, levels=("word",))
-        cost = total_cost(trace, ex, cfg).item()
-        G = token_saliency(trace.embedded, trace.logit).values
-        mask = padded_mask(ex, self.config.max_len)
+        cost = total_cost(trace, [ex], cfg).item()
+        (scores,), _ = saliency_scores(self.params, self.config, [ex], ("word",))
+        G = scores["word"]
+        mask = padded_mask(ex, len(ex.tokens))
         manual = task_loss(trace.logit, 1).item() + 0.7 * np.sum(
             np.maximum(0.0, -mask * G)
         )
@@ -194,13 +186,15 @@ class TestKinkMargin:
 
     @staticmethod
     def reference(params, config, ex, cfg):
-        """Forward kink margin, then one token_saliency backward per level on
-        the single-example trace."""
+        """Forward kink margin, then one grad per level on the batch-of-one
+        trace, summed over each row's dimensions."""
         margin = model_kink_margin(params, config, ex)
-        trace = encode(ex, params, config)
+        trace = encode_batch([ex], params, config)
         mask = padded_mask(ex, config.max_len)
         for level in cfg.levels:
-            marked = token_saliency(trace.level_tensor(level), trace.logit).values[mask > 0]
+            target = trace.level_tensor(level)
+            g = grad(trace.logit, [target])[target].values[0]
+            marked = (g.sum(axis=-1) if g.ndim == 2 else g)[mask > 0]
             if marked.size:
                 margin = min(margin, float(np.min(np.abs(marked))))
         return margin
@@ -224,5 +218,6 @@ class TestKinkMargin:
         candidates = [ex for ex in examples if ex.label == 1 and ex.marked_count >= 1]
         chosen = select_smooth_positives(params, config, examples, SaliencyConfig(0.5), 3)
         scanned = next(i for i, ex in enumerate(candidates) if ex is chosen[-1]) + 1
-        assert passes["forward"] == [(1, True)] * scanned
+        # per candidate: the kink-margin forward, then saliency_scores' pass
+        assert passes["forward"] == [(1, True)] * (2 * scanned)
         assert passes["backward"] == scanned

@@ -8,10 +8,9 @@ from salign.model import (
     LEVELS,
     ModelConfig,
     ModelParams,
+    _classify,
     _conv_stack,
     _query_reprs,
-    embed,
-    encode,
     encode_batch,
     load_checkpoint,
     pad_ids,
@@ -74,41 +73,44 @@ class TestEmbed:
         self.config = ModelConfig(vocab_size=10, embed_dim=4, max_len=4)
         self.params = ModelParams(self.config, seed=0)
 
+    def embed(self, tokens):
+        return encode_batch([example(tokens)], self.params, self.config).embedded.values[0]
+
     def test_empty_sequence_is_all_pad(self):
-        rows = embed([], self.params, self.config)
+        rows = self.embed([])
         pad = self.params.embedding.values[0]
-        np.testing.assert_array_equal(rows.values, np.tile(pad, (4, 1)))
+        np.testing.assert_array_equal(rows, np.tile(pad, (4, 1)))
 
     def test_lookup_and_padding(self):
-        rows = embed([5, 7], self.params, self.config)
+        rows = self.embed([5, 7])
         table = self.params.embedding.values
-        np.testing.assert_array_equal(rows.values[0], table[5])
-        np.testing.assert_array_equal(rows.values[1], table[7])
-        np.testing.assert_array_equal(rows.values[2], table[0])
-        np.testing.assert_array_equal(rows.values[3], table[0])
+        np.testing.assert_array_equal(rows[0], table[5])
+        np.testing.assert_array_equal(rows[1], table[7])
+        np.testing.assert_array_equal(rows[2], table[0])
+        np.testing.assert_array_equal(rows[3], table[0])
 
     def test_truncation(self):
-        rows = embed([1, 2, 3, 4, 5, 6, 7], self.params, self.config)
+        rows = self.embed([1, 2, 3, 4, 5, 6, 7])
         assert rows.shape == (4, 4)
-        np.testing.assert_array_equal(rows.values[3], self.params.embedding.values[4])
+        np.testing.assert_array_equal(rows[3], self.params.embedding.values[4])
 
     def test_out_of_range_id_rejected(self):
         with pytest.raises(ValueError):
-            embed([11], self.params, self.config)
+            self.embed([11])
         with pytest.raises(ValueError):
-            encode_batch([example([11])], self.params, self.config)
+            encode_batch([example([4]), example([11])], self.params, self.config)
 
 
 class TestEncode:
     def test_shapes(self):
         config = ModelConfig(vocab_size=20, embed_dim=8, max_len=10)
         params = ModelParams(config, seed=0)
-        trace = encode(example([4, 5, 6]), params, config)
-        assert trace.embedded.shape == (10, 8)
-        assert trace.intermediate.shape == (10, 8)
-        assert trace.seq_max.shape == (8,)
-        assert trace.dim_max.shape == (10,)
-        assert trace.logit.shape == ()
+        trace = encode_batch([example([4, 5, 6])], params, config)
+        assert trace.embedded.shape == (1, 10, 8)
+        assert trace.intermediate.shape == (1, 10, 8)
+        assert trace.seq_max.shape == (1, 8)
+        assert trace.dim_max.shape == (1, 10)
+        assert trace.logit.shape == (1,)
 
     def test_zero_network_gives_classifier_bias(self):
         config = ModelConfig(vocab_size=20, embed_dim=4, max_len=6)
@@ -117,7 +119,7 @@ class TestEncode:
             params.kernels[w][0].values[...] = 0.0
             params.kernels[w][1].values[...] = 0.0
         params.out_bias.values[...] = 0.25
-        trace = encode(example([4, 5]), params, config)
+        trace = encode_batch([example([4, 5])], params, config)
         assert np.all(trace.intermediate.values == 0.0)
         assert trace.logit.item() == pytest.approx(0.25)
 
@@ -126,7 +128,7 @@ class TestEncode:
         config = ModelConfig(vocab_size=9, embed_dim=2, max_len=3, mode=mode)
         params = ModelParams(config, seed=seed)
         ex = example([4, 5, 6], query=[2, 7, 8] if mode == "qa" else None)
-        got = encode(ex, params, config).logit.item()
+        got = encode_batch([ex], params, config).logit.item()
         want = encode_loop_oracle(ex, params, config)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -134,15 +136,15 @@ class TestEncode:
         config = ModelConfig(vocab_size=9, embed_dim=2, max_len=3)
         params = ModelParams(config, seed=0)
         with pytest.raises(ValueError):
-            encode(example([4], query=[5]), params, config)
+            encode_batch([example([4], query=[5])], params, config)
         qa = ModelConfig(vocab_size=9, embed_dim=2, max_len=3, mode="qa")
         with pytest.raises(ValueError):
-            encode(example([4]), params, qa)
+            encode_batch([example([4])], params, qa)
 
     def test_trace_members_feed_logit(self):
         config = ModelConfig(vocab_size=15, embed_dim=4, max_len=5)
         params = ModelParams(config, seed=1)
-        trace = encode(example([4, 5, 6, 7]), params, config)
+        trace = encode_batch([example([4, 5, 6, 7])], params, config)
         for level in LEVELS:
             g = grad(trace.logit, [trace.level_tensor(level)])
             assert np.any(g[trace.level_tensor(level)].values != 0.0)
@@ -150,10 +152,10 @@ class TestEncode:
     def test_pool_invariants(self):
         config = ModelConfig(vocab_size=30, embed_dim=6, max_len=8)
         params = ModelParams(config, seed=2)
-        trace = encode(example([5, 9, 12, 20]), params, config)
+        trace = encode_batch([example([5, 9, 12, 20])], params, config)
         inter = trace.intermediate.values
-        np.testing.assert_allclose(trace.seq_max.values, inter.max(axis=0))
-        np.testing.assert_allclose(trace.dim_max.values, inter.max(axis=1))
+        np.testing.assert_allclose(trace.seq_max.values, inter.max(axis=1))
+        np.testing.assert_allclose(trace.dim_max.values, inter.max(axis=2))
 
     def test_all_ones_query_reduces_to_event_trace(self):
         rng = np.random.default_rng(5)
@@ -161,9 +163,9 @@ class TestEncode:
         qa_cfg = ModelConfig(vocab_size=15, embed_dim=4, max_len=5, mode="qa")
         params = ModelParams(event_cfg, seed=3)
         tokens = [4, 6, 8]
-        ones = Tensor(np.ones(4))
-        qa_trace = encode(example(tokens), params, qa_cfg, query_repr_override=ones)
-        ev_trace = encode(example(tokens), params, event_cfg)
+        ev_trace = encode_batch([example(tokens)], params, event_cfg)
+        ones = Tensor(np.ones((1, 4)))
+        qa_trace = _classify(ev_trace.embedded, params, qa_cfg, ones, None)
         np.testing.assert_array_equal(qa_trace.intermediate.values, ev_trace.intermediate.values)
         np.testing.assert_array_equal(qa_trace.dim_max.values, ev_trace.dim_max.values)
         assert qa_trace.logit.item() == ev_trace.logit.item()
@@ -172,8 +174,8 @@ class TestEncode:
         config = ModelConfig(vocab_size=30, embed_dim=6, max_len=8)
         params = ModelParams(config, seed=2)
         ex = example([5, 9, 12])
-        one = encode(ex, params, config).logit.values
-        two = encode(ex, params, config).logit.values
+        one = encode_batch([ex], params, config).logit.values
+        two = encode_batch([ex], params, config).logit.values
         assert one.tobytes() == two.tobytes()
 
     def test_dimension_permutation_leaves_dim_max_invariant(self):
@@ -190,8 +192,8 @@ class TestEncode:
             shuffled.kernels[w][0].values[...] = k[:, perm][:, :, perm]
             shuffled.kernels[w][1].values[...] = params.kernels[w][1].values[perm]
         shuffled.out_weight.values[:5] = params.out_weight.values[perm]
-        base = encode(ex, params, config)
-        moved = encode(ex, shuffled, config)
+        base = encode_batch([ex], params, config)
+        moved = encode_batch([ex], shuffled, config)
         np.testing.assert_allclose(moved.dim_max.values, base.dim_max.values, atol=1e-12)
         assert moved.logit.item() == pytest.approx(base.logit.item(), abs=1e-12)
 
@@ -215,7 +217,7 @@ class TestBatchedEncode:
         batch = encode_batch(examples, params, config)
         assert batch.logit.shape == (7,)
         for i, ex in enumerate(examples):
-            single = encode(ex, params, config)
+            single = encode_batch([ex], params, config)
             assert batch.logit.values[i] == pytest.approx(single.logit.item(), abs=1e-12)
 
     def test_qa_matches_single(self):
@@ -231,7 +233,7 @@ class TestBatchedEncode:
         ]
         batch = encode_batch(examples, params, config)
         for i, ex in enumerate(examples):
-            single = encode(ex, params, config)
+            single = encode_batch([ex], params, config)
             assert batch.logit.values[i] == pytest.approx(single.logit.item(), abs=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -285,15 +287,17 @@ class TestBatchedQueryTower:
         batch = encode_batch(self.examples, self.params, self.config)
         targets = [batch.level_tensor(level) for level in LEVELS]
         batch_grads = grad(ops.sum_axes(batch.logit), targets)
+        d, n = self.config.embed_dim, self.config.max_len
         for i, ex in enumerate(self.examples):
-            single = encode(ex, self.params, self.config,
-                            query_repr_override=self.alone(ex.query, self.params))
+            embedded = ops.gather_rows(self.params.embedding, pad_ids(ex.tokens, n)[None])
+            query_vec = ops.reshape(self.alone(ex.query, self.params), (1, d))
+            single = _classify(embedded, self.params, self.config, query_vec, None)
             np.testing.assert_allclose(batch.logit.values[i], single.logit.item(),
                                        rtol=1e-12, atol=1e-12)
             single_targets = [single.level_tensor(level) for level in LEVELS]
             single_grads = grad(single.logit, single_targets)
             for level, b, s in zip(LEVELS, targets, single_targets):
-                np.testing.assert_allclose(batch_grads[b].values[i], single_grads[s].values,
+                np.testing.assert_allclose(batch_grads[b].values[i], single_grads[s].values[0],
                                            rtol=1e-12, atol=1e-12, err_msg=level)
 
     def test_empty_query_rejected(self):

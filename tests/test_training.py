@@ -7,7 +7,7 @@ from salign import Tensor, grad, ops
 from salign.data import Example, SynthConfig, gen_synthetic
 from salign.gradcheck import finite_diff_check_many, select_smooth_positives
 from salign.loss import SaliencyConfig, task_loss, total_cost
-from salign.model import LEVELS, ModelConfig, ModelParams, encode, encode_batch
+from salign.model import LEVELS, ModelConfig, ModelParams, encode_batch
 from salign.training import AdamState, NumericalError, TrainConfig, _batch_cost, adam_step, train
 
 
@@ -70,21 +70,40 @@ class TestAdamStep:
 
 
 class TestBatchCost:
+    @staticmethod
+    def make(mode, strength):
+        ds = gen_synthetic(SynthConfig(count=10, vocab_size=40, trigger_count=3,
+                                       min_len=4, max_len=8, seed=5, mode=mode))
+        config = ModelConfig(vocab_size=40, embed_dim=4, max_len=7, mode=mode)
+        cfg = TrainConfig(dropout=0.0, saliency=SaliencyConfig(strength=strength, levels=LEVELS))
+        return ds.examples, ModelParams(config, seed=3), config, cfg
+
+    @pytest.mark.parametrize("strength", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_bit_identical_to_total_cost(self, mode, strength):
+        """Training's cost and loss.total_cost build the same graph: equal
+        values and parameter gradients, bit for bit."""
+        examples, params, config, cfg = self.make(mode, strength)
+        named = params.tensors()
+        train_cost, _, _ = _batch_cost(examples, params, config, cfg, None)
+        cost = total_cost(encode_batch(examples, params, config), examples, cfg.saliency)
+        assert train_cost.values.tobytes() == cost.values.tobytes()
+        train_grads = grad(train_cost, list(named.values()))
+        grads = grad(cost, list(named.values()))
+        for name, t in named.items():
+            assert train_grads[t].values.tobytes() == grads[t].values.tobytes(), name
+
     @pytest.mark.parametrize("mode", ["event", "qa"])
     def test_equals_mean_single_example_cost(self, mode):
         """The batched cost training optimizes is the mean of the
-        single-example cost the gradient check verifies."""
-        ds = gen_synthetic(SynthConfig(count=10, vocab_size=40, trigger_count=3,
-                                       min_len=4, max_len=8, seed=5, mode=mode))
-        examples = ds.examples
-        config = ModelConfig(vocab_size=40, embed_dim=4, max_len=7, mode=mode)
-        params = ModelParams(config, seed=3)
-        cfg = TrainConfig(dropout=0.0, saliency=SaliencyConfig(strength=0.5, levels=LEVELS))
+        batch-of-one cost the gradient check verifies."""
+        examples, params, config, cfg = self.make(mode, 0.5)
         named = params.tensors()
 
         batched, _, penalty = _batch_cost(examples, params, config, cfg, None)
         batched_grads = grad(batched, list(named.values()))
-        singles = [total_cost(encode(ex, params, config), ex, cfg.saliency) for ex in examples]
+        singles = [total_cost(encode_batch([ex], params, config), [ex], cfg.saliency)
+                   for ex in examples]
         mean = ops.scale(functools.reduce(ops.add, singles), 1.0 / len(examples))
         mean_grads = grad(mean, list(named.values()))
 
