@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,17 +50,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(f"error: {message}")
-
-
-@dataclass
-class RunConfig:
-    """A resolved command invocation: every option has a value."""
-
-    command: str
-    options: dict
-
-    def __getitem__(self, key):
-        return self.options[key]
 
 
 # option tables: name -> (type, default)
@@ -148,8 +137,8 @@ def _parse_config_file(path):
     return values
 
 
-def resolve(command, args) -> RunConfig:
-    """Merge flag > config file > environment (seed) > default."""
+def resolve(command, args):
+    """Every option's value: flag > config file > environment (seed) > default."""
     spec = dict(_COMMON, **_SPECS[command])
     file_values = {}
     if args.config is not None:
@@ -170,7 +159,7 @@ def resolve(command, args) -> RunConfig:
             options[name] = int(os.environ["SF_SEED"])
         else:
             options[name] = default
-    return RunConfig(command=command, options=options)
+    return options
 
 
 def _require_file(path, what):
@@ -218,7 +207,7 @@ def _dataset_for(config, path, vocab):
     return dataset, replace(config, mode=dataset.mode)
 
 
-def cmd_synth(run: RunConfig):
+def cmd_synth(run):
     cfg = SynthConfig(
         count=run["count"],
         vocab_size=run["vocab_size"],
@@ -241,7 +230,7 @@ def cmd_synth(run: RunConfig):
     return 0
 
 
-def cmd_train(run: RunConfig):
+def cmd_train(run):
     train_path = _require_file(run["train"], "training set")
     dev_path = _require_file(run["dev"], "dev set")
     train_set = load_jsonl(train_path)
@@ -282,7 +271,7 @@ def cmd_train(run: RunConfig):
     return 0
 
 
-def cmd_eval(run: RunConfig):
+def cmd_eval(run):
     params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
     _require_file(run["data"], "dataset")
     dataset, config = _dataset_for(config, run["data"], vocab)
@@ -290,7 +279,7 @@ def cmd_eval(run: RunConfig):
     return _emit(serialize_metrics(report), run["out"])
 
 
-def cmd_saliency(run: RunConfig):
+def cmd_saliency(run):
     for name in ("limit", "k"):
         if run[name] < 1:
             raise ValueError(f"--{name} must be at least 1, got {run[name]}")
@@ -303,7 +292,7 @@ def cmd_saliency(run: RunConfig):
     out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
     examples = dataset.examples[: run["limit"]]
-    reports, own = saliency_report(params, config, examples, vocab, k=run["k"])
+    reports, own = saliency_report(params, config, examples, vocab)
     if baseline is not None:
         _, other = predict_batch(*baseline, examples)
     for i, (ex, rep) in enumerate(zip(examples, reports)):
@@ -318,7 +307,7 @@ def cmd_saliency(run: RunConfig):
     return 0
 
 
-def cmd_verify(run: RunConfig):
+def cmd_verify(run):
     params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
     _require_file(run["data"], "dataset")
     dataset, config = _dataset_for(config, run["data"], vocab)
@@ -329,7 +318,7 @@ def cmd_verify(run: RunConfig):
     return _emit(serialize_verification(report), run["out"])
 
 
-def cmd_gradcheck(run: RunConfig):
+def cmd_gradcheck(run):
     worst, errors = model_cost_gradcheck(
         embed_dim=run["d"],
         max_len=run["n"],
@@ -346,7 +335,7 @@ def cmd_gradcheck(run: RunConfig):
     return 0
 
 
-def cmd_compare(run: RunConfig):
+def cmd_compare(run):
     _require_file(run["data"], "dataset")
     params_a, config_a, vocab = _load_model(run["checkpoint_a"], run["vocab"])
     dataset, config_a = _dataset_for(config_a, run["data"], vocab)
@@ -377,13 +366,7 @@ def build_parser():
     for command, spec in _SPECS.items():
         p = sub.add_parser(command)
         for name, (typ, _) in dict(_COMMON, **spec).items():
-            flag = "--" + name.replace("_", "-")
-            if typ is int:
-                p.add_argument(flag, type=int, default=None)
-            elif typ is float:
-                p.add_argument(flag, type=float, default=None)
-            else:
-                p.add_argument(flag, type=str, default=None)
+            p.add_argument("--" + name.replace("_", "-"), type=typ, default=None)
     return parser
 
 

@@ -205,23 +205,16 @@ class SaliencyReport:
 
     tokens: list
     grads: dict
-    top_indices: list
 
 
-def _rank_by_magnitude(values):
-    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), i))
-    return [i for i in order if abs(values[i]) > 0]
-
-
-def saliency_report(params, config, examples, vocab, levels=LEVELS, k=6):
+def saliency_report(params, config, examples, vocab, levels=LEVELS):
     """Per-token gradients of each example, dropout off, from one batched
     pass per chunk. Returns (one SaliencyReport per example, hard labels)."""
     scored, labels = saliency_scores(params, config, examples, levels)
     reports = []
     for ex, per_level in zip(examples, scored):
-        word = per_level.get("word", next(iter(per_level.values())))
         tokens = [vocab.token_for(t) for t in ex.tokens[: config.max_len]]
-        reports.append(SaliencyReport(tokens, per_level, _rank_by_magnitude(word)[:k]))
+        reports.append(SaliencyReport(tokens, per_level))
     return reports, labels
 
 
@@ -237,7 +230,8 @@ def top_k_salient(report: SaliencyReport, k=6):
     word = report.grads.get("word")
     if word is None:
         raise ValueError("word-level gradients required")
-    picked = _rank_by_magnitude(word)[:k]
+    order = sorted(range(len(word)), key=lambda i: (-abs(word[i]), i))
+    picked = [i for i in order if abs(word[i]) > 0][:k]
     if not picked:
         return []
     peak = max(abs(word[i]) for i in picked)

@@ -9,7 +9,7 @@ their second derivative is zero almost everywhere.
 
 add and mul broadcast an operand whose shape is a trailing suffix of the
 other's (a scalar is the empty suffix); every other shape change goes
-through an explicit op (sum_axes/expand_axes, concat/slice/pad, reshape).
+through an explicit op (sum_axes/expand_axes, concat/take/put, reshape).
 """
 
 from __future__ import annotations
@@ -133,14 +133,12 @@ def _sigmoid_values(v):
 
 def sigmoid(a):
     a = _as_tensor(a)
-    out = _node("sigmoid", _sigmoid_values(a.values), (a,), None)
 
     def vjp(g, needs):
         one_minus = add(neg(out), 1.0)
         return (mul(g, mul(out, one_minus)),)
 
-    if out.parents:
-        out.vjp = vjp
+    out = _node("sigmoid", _sigmoid_values(a.values), (a,), vjp)
     return out
 
 
@@ -235,37 +233,11 @@ def concat_last(*parts):
 
     def vjp(g, needs):
         return tuple(
-            slice_last(g, offsets[i], offsets[i + 1]) if needs[i] else None
+            take(g, (..., slice(offsets[i], offsets[i + 1]))) if needs[i] else None
             for i in range(len(parts))
         )
 
     return _node("concat_last", np.concatenate([p.values for p in parts], axis=-1), parts, vjp)
-
-
-def slice_last(a, lo, hi):
-    a = _as_tensor(a)
-    lo, hi = int(lo), int(hi)
-    total = a.shape[-1]
-
-    def vjp(g, needs):
-        return (pad_last(g, lo, total),)
-
-    return _node("slice_last", a.values[..., lo:hi].copy(), (a,), vjp)
-
-
-def pad_last(a, lo, total):
-    """Embed a into a zero tensor whose last axis has length total."""
-    a = _as_tensor(a)
-    lo, total = int(lo), int(total)
-    k = a.shape[-1]
-
-    out = np.zeros(a.shape[:-1] + (total,))
-    out[..., lo : lo + k] = a.values
-
-    def vjp(g, needs):
-        return (slice_last(g, lo, lo + k),)
-
-    return _node("pad_last", out, (a,), vjp)
 
 
 def shift_rows(a, offset):
@@ -319,8 +291,35 @@ def matmul_last(x, m):
 # indexing
 
 
+def take(a, key):
+    """a's entries at key, copied out. key is a fixed numpy index that picks
+    each entry at most once: basic slices, or one broadcast integer array
+    per axis."""
+    a = _as_tensor(a)
+    shape = a.shape
+
+    def vjp(g, needs):
+        return (put(g, key, shape),)
+
+    return _node("take", a.values[key].copy(), (a,), vjp)
+
+
+def put(a, key, shape):
+    """Write a into a zero tensor of the given shape at key (take's adjoint,
+    with the same precondition on key)."""
+    a = _as_tensor(a)
+    out = np.zeros(shape)
+    out[key] = a.values
+
+    def vjp(g, needs):
+        return (take(g, key),)
+
+    return _node("put", out, (a,), vjp)
+
+
 def gather_rows(table, ids):
-    """Look up rows of table by an integer index array; out-of-range ids fail."""
+    """Look up rows of table by an integer index array; out-of-range ids fail.
+    Ids may repeat, so the adjoint sums into rows (scatter_rows), not put."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     nrows = table.shape[0]
@@ -350,14 +349,10 @@ def scatter_rows(src, ids, nrows):
     return _node("scatter_rows", out, (src,), vjp)
 
 
-# ---------------------------------------------------------------------------
-# pooling
-
-
 def maxpool_axis(a, axis, valid=None):
-    """Max along one axis (axis removed). Backward routes the whole upstream
-    gradient to the argmax of each pooled group; ties pick the lowest index,
-    and the routing is frozen at forward time.
+    """Max along one axis (axis removed), taken at each group's argmax, so
+    backward routes the whole upstream gradient there; ties pick the lowest
+    index, and the routing is frozen at forward time.
 
     valid, a boolean array of a's shape, restricts each group to its true
     entries; every group needs at least one."""
@@ -372,41 +367,9 @@ def maxpool_axis(a, axis, valid=None):
 
     candidates = a.values if valid is None else np.where(valid, a.values, -np.inf)
     idx = np.argmax(candidates, axis=axis)
-    size = a.shape[axis]
-
-    def vjp(g, needs):
-        return (place_along_axis(g, idx, axis, size),)
-
-    return _node("maxpool_axis", np.max(candidates, axis=axis), (a,), vjp)
-
-
-def place_along_axis(src, idx, axis, size):
-    """Scatter src into a zero tensor with an extra axis, at fixed indices."""
-    src = _as_tensor(src)
-    idx = np.asarray(idx, dtype=np.int64)
-    if src.shape != idx.shape:
-        raise ValueError("place_along_axis: src and idx shapes must match")
-
-    out = np.zeros(src.shape[:axis] + (size,) + src.shape[axis:])
-    np.put_along_axis(out, np.expand_dims(idx, axis), np.expand_dims(src.values, axis), axis)
-
-    def vjp(g, needs):
-        return (take_along_axis_at(g, idx, axis),)
-
-    return _node("place_along_axis", out, (src,), vjp)
-
-
-def take_along_axis_at(a, idx, axis):
-    """Pick one element along axis per group, at fixed indices (axis removed)."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    size = a.shape[axis]
-    values = np.take_along_axis(a.values, np.expand_dims(idx, axis), axis).squeeze(axis)
-
-    def vjp(g, needs):
-        return (place_along_axis(g, idx, axis, size),)
-
-    return _node("take_along_axis", values, (a,), vjp)
+    key = list(np.indices(idx.shape, sparse=True))
+    key.insert(axis, idx)
+    return take(a, tuple(key))
 
 
 # ---------------------------------------------------------------------------

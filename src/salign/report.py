@@ -55,7 +55,7 @@ def render_heatmap(example, report: SaliencyReport, predictions=None, k=6) -> st
     to its hard label. All-zero gradients render a valid document with no
     shading.
     """
-    ranked = top_k_salient(report, k) if any(abs(g) > 0 for g in report.grads["word"]) else []
+    ranked = top_k_salient(report, k)
     alpha = {idx: _shade(rank) for rank, (idx, _, _) in enumerate(ranked)}
     pieces = []
     for i, token in enumerate(report.tokens):

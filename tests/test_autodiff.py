@@ -249,6 +249,12 @@ class TestMaxPool:
         with pytest.raises(ValueError):
             ops.maxpool_axis(Tensor(np.zeros((2, 2))), axis=5)
 
+    def test_pooling_is_one_take_node(self):
+        with Graph() as graph:
+            ops.maxpool_axis(Tensor(np.zeros((2, 3, 4))), axis=1)
+            ops.maxpool_axis(Tensor([3.0, 5.0, 4.0]), axis=0)
+        assert [node.op for node in graph.nodes] == ["take", "take"]
+
 
 class TestMaskedMaxPool:
     """maxpool_axis(..., valid=mask): the max and its routing over true entries only."""
@@ -495,6 +501,8 @@ SHAPE = (2, 3, 4)
 AXIS_SUBSETS = [c for r in range(4) for c in itertools.combinations(range(3), r)]
 IDS = np.array([[0, 2], [2, 2]])
 PICKS = np.array([[0, 3, 1, 3, 2], [2, 2, 0, 1, 3], [1, 0, 3, 3, 0]])
+# one index per (row, column) group along axis 1 of a (3, 4, 5) tensor
+GROUPS = (np.arange(3)[:, None], PICKS, np.arange(5)[None, :])
 
 # op name -> {case label: (function of the input tensors, input draw)}
 OP_CASES = {
@@ -531,8 +539,14 @@ OP_CASES = {
     "reshape": {"": (lambda x: ops.reshape(x, (6, 4)), normal(SHAPE))},
     "transpose2d": {"": (ops.transpose2d, normal((3, 4)))},
     "concat_last": {"": (ops.concat_last, normal((2, 1), (2, 3), (2, 2)))},
-    "slice_last": {"": (lambda x: ops.slice_last(x, 1, 4), normal((2, 5)))},
-    "pad_last": {"": (lambda x: ops.pad_last(x, 1, 6), normal((2, 3)))},
+    "take": {
+        "slice": (lambda x: ops.take(x, (..., slice(1, 4))), normal((2, 5))),
+        "groups": (lambda x: ops.take(x, GROUPS), normal((3, 4, 5))),
+    },
+    "put": {
+        "slice": (lambda x: ops.put(x, (..., slice(1, 4)), (2, 6)), normal((2, 3))),
+        "groups": (lambda x: ops.put(x, GROUPS, (3, 4, 5)), normal((3, 5))),
+    },
     "shift_rows": {
         f"by{s}": (lambda x, s=s: ops.shift_rows(x, s), normal((2, 5, 3))) for s in (-1, 0, 2)
     },
@@ -545,12 +559,15 @@ OP_CASES = {
         "last": (lambda x: ops.maxpool_axis(x, axis=-1), spread((3, 4, 5))),
         "masked": (masked_pool, spread((3, 4, 5))),
     },
-    "place_along_axis": {"": (lambda x: ops.place_along_axis(x, PICKS, 1, 4), normal((3, 5)))},
-    "take_along_axis_at": {"": (lambda x: ops.take_along_axis_at(x, PICKS, 1), normal((3, 4, 5)))},
     "conv1d_same": {"": (ops.conv1d_same, normal((5, 3), (3, 3, 2), (2,)))},
 }
 CASES = [(op, label) for op, cases in OP_CASES.items() for label in cases]
 CASE_IDS = [f"{op}-{label}" if label else op for op, label in CASES]
+PUBLIC_OPS = {
+    name
+    for name, f in inspect.getmembers(ops, inspect.isfunction)
+    if f.__module__ == ops.__name__ and not name.startswith("_")
+}
 
 
 def case_inputs(op, label):
@@ -568,12 +585,20 @@ class TestRandomOpGradients:
     """Every public op vs finite differences on smooth random input."""
 
     def test_table_lists_every_public_op(self):
-        public = {
-            name
-            for name, f in inspect.getmembers(ops, inspect.isfunction)
-            if f.__module__ == ops.__name__ and not name.startswith("_")
-        }
-        assert set(OP_CASES) == public
+        assert set(OP_CASES) == PUBLIC_OPS
+
+    def test_every_node_is_named_after_a_public_op(self):
+        # forward, create-graph backward and second backward of every case
+        strays = {}
+        for op, label in CASES:
+            fn, tensors, _ = case_inputs(op, label)
+            with Graph() as graph:
+                grads = grad(readout(fn(*tensors)), tensors, create_graph=True)
+                grad(functools.reduce(ops.add, map(ops.sum_axes, grads.values())), tensors)
+            names = {node.op for node in graph.nodes} - PUBLIC_OPS
+            if names:
+                strays[f"{op}-{label}"] = names
+        assert strays == {}
 
     @pytest.mark.parametrize("op,label", CASES, ids=CASE_IDS)
     def test_first_order(self, op, label):
@@ -646,8 +671,8 @@ class TestRandomOpGradients:
         elif name == "slices":
 
             def f(t):
-                a = ops.slice_last(t, 0, 2)
-                bpart = ops.pad_last(a, 1, 4)
+                a = ops.take(t, (..., slice(0, 2)))
+                bpart = ops.put(a, (..., slice(1, 3)), (3, 4))
                 return ops.sum_axes(ops.mul(bpart, bpart))
 
             x = Tensor(rng.normal(size=(3, 4)))

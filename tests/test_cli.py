@@ -392,7 +392,7 @@ class TestRenderHeatmap:
         z = [1 if i in marked else 0 for i in range(len(word))]
         ex = Example(tokens=list(range(3, 3 + len(word))), query=None,
                      label=1 if any(z) else 0, rationale=z)
-        rep = SaliencyReport(tokens=tokens, grads={"word": np.array(word, float)}, top_indices=[])
+        rep = SaliencyReport(tokens=tokens, grads={"word": np.array(word, float)})
         return ex, rep
 
     def test_all_zero_gradients_render_unshaded(self):

@@ -185,8 +185,7 @@ class TestVerifyTprDrop:
 class TestTopK:
     def make_report(self, word, tokens=None):
         tokens = tokens or [f"t{i}" for i in range(len(word))]
-        return SaliencyReport(tokens=tokens, grads={"word": np.array(word, dtype=float)},
-                              top_indices=[])
+        return SaliencyReport(tokens=tokens, grads={"word": np.array(word, dtype=float)})
 
     def test_short_sentence_returns_fewer(self):
         picked = top_k_salient(self.make_report([1.0, -2.0, 0.5]), k=6)
@@ -220,7 +219,7 @@ class TestReports:
         assert set(rep.grads) == {"word", "intermediate", "decision"}
         assert all(len(g) == len(ex.tokens) for g in rep.grads.values())
         assert len(rep.tokens) == len(ex.tokens)
-        assert len(rep.top_indices) <= 6
+        assert len(top_k_salient(rep)) <= 6
 
     def test_metrics_serialization_format(self):
         report = classification_metrics([1, 0], [1, 1])
@@ -303,7 +302,7 @@ class TestOnePassPerJob:
     def test_saliency_report_equals_per_example_loop(self, mode):
         ds = corpus(mode, 150)
         params, config = self.model(mode, ds.examples)
-        reports, labels = saliency_report(params, config, ds.examples, ds.vocab, k=4)
+        reports, labels = saliency_report(params, config, ds.examples, ds.vocab)
         assert len(reports) == len(ds.examples)
         np.testing.assert_array_equal(labels, predict_batch(params, config, ds.examples)[1])
         truncated = 0
@@ -315,7 +314,8 @@ class TestOnePassPerJob:
             assert rep.tokens == [ds.vocab.token_for(t) for t in ex.tokens[: config.max_len]]
             word = np.abs(alone["word"])
             ranked = sorted(range(len(word)), key=lambda i: (-word[i], i))
-            assert rep.top_indices == [i for i in ranked if word[i] > 0][:4]
+            picked = [i for i, _, _ in top_k_salient(rep, 4)]
+            assert picked == [i for i in ranked if word[i] > 0][:4]
             truncated += len(ex.tokens) > config.max_len
         assert truncated > 0
 
