@@ -202,8 +202,11 @@ def _emit(text, out):
 
 
 def _dataset_for(config, path, vocab):
-    """The dataset and the model config switched to the dataset's mode."""
-    dataset = load_jsonl(path, vocab)
+    """The dataset at path, which must hold an example, and the model config
+    switched to the dataset's mode."""
+    dataset = load_jsonl(_require_file(path, "dataset"), vocab)
+    if not dataset.examples:
+        raise ValueError(f"{path}: no examples")
     return dataset, replace(config, mode=dataset.mode)
 
 
@@ -273,7 +276,6 @@ def cmd_train(run):
 
 def cmd_eval(run):
     params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
-    _require_file(run["data"], "dataset")
     dataset, config = _dataset_for(config, run["data"], vocab)
     report = evaluate_model(params, config, dataset)
     return _emit(serialize_metrics(report), run["out"])
@@ -284,7 +286,6 @@ def cmd_saliency(run):
         if run[name] < 1:
             raise ValueError(f"--{name} must be at least 1, got {run[name]}")
     params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
-    _require_file(run["data"], "dataset")
     dataset, config = _dataset_for(config, run["data"], vocab)
     baseline = None
     if run["baseline_checkpoint"]:
@@ -309,7 +310,6 @@ def cmd_saliency(run):
 
 def cmd_verify(run):
     params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
-    _require_file(run["data"], "dataset")
     dataset, config = _dataset_for(config, run["data"], vocab)
     positives = [ex for ex in dataset.examples if ex.label == 1 and ex.marked_count >= 1]
     if not positives:

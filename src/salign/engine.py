@@ -115,25 +115,6 @@ class Graph:
         return False
 
 
-def _toposort(root):
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order  # parents always precede consumers
-
-
 def grad(root, targets, create_graph=False):
     """Differentiate the scalar ``root`` with respect to ``targets``.
 
@@ -141,7 +122,8 @@ def grad(root, targets, create_graph=False):
     are graph-connected and can be differentiated again; otherwise they are
     detached. Targets not reachable from the root receive a zero tensor of
     their own shape (documented behaviour, not an error). Fan-out
-    accumulates by summation.
+    accumulates by summation. Each non-target gradient is freed as soon as
+    the walk has passed it on to the node's parents.
     """
     from . import ops  # local import: ops depends on this module
 
@@ -149,20 +131,28 @@ def grad(root, targets, create_graph=False):
         raise ValueError(f"grad root must be scalar, got shape {root.shape}")
 
     targets = list(targets)
-    topo = _toposort(root)
     target_ids = {id(t) for t in targets}
 
-    # A node matters only if a target can be reached walking parent links
-    # from it, i.e. it is a descendant of some target within root's graph.
-    useful = set()
-    for node in topo:
-        if id(node) in target_ids or any(id(p) in useful for p in node.parents):
-            useful.add(id(node))
+    # One depth-first walk gives the topological order (parents first) and
+    # the useful set: the nodes a target is reachable from by parent links.
+    topo, useful, seen = [], set(), set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            if id(node) in target_ids or any(id(p) in useful for p in node.parents):
+                useful.add(id(node))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents if id(p) not in seen)
 
     grads = {id(root): Tensor(np.ones(root.shape))}
     with set_grad_enabled(create_graph):
         for node in reversed(topo):
-            g = grads.get(id(node))
+            key = id(node)
+            g = grads.get(key) if key in target_ids else grads.pop(key, None)
             if g is None or node.vjp is None:
                 continue
             needs = tuple(id(p) in useful for p in node.parents)

@@ -95,13 +95,25 @@ def predict_batch(params, config, examples, chunk=256):
     return _threshold(logits)
 
 
+def trace_scores(trace, examples, levels, max_len):
+    """Per-token score gradients of a batched trace's examples from one
+    backward pass: one dict per example mapping level -> array over its true
+    (unpadded, possibly truncated) token positions."""
+    targets = [trace.level_tensor(level) for level in levels]
+    grads = grad(ops.sum_axes(trace.logit), targets)
+    sums = [grads[t].values.sum(axis=-1) if t.ndim == 3 else grads[t].values for t in targets]
+    return [
+        {level: g[row, : min(len(ex.tokens), max_len)].copy() for level, g in zip(levels, sums)}
+        for row, ex in enumerate(examples)
+    ]
+
+
 def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
     """Per-token score gradients and hard labels from one batched forward
     and backward pass per chunk, dropout off.
 
-    Returns (scores, labels): one dict per example mapping level -> array
-    over its true (unpadded, possibly truncated) token positions, and the
-    labels predict_batch would give, thresholded from the same logits.
+    Returns (scores, labels): trace_scores' dict per example, and the labels
+    predict_batch would give, thresholded from the same logits.
     """
     out, logits = [], []
     levels = tuple(levels)
@@ -110,15 +122,7 @@ def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
         with set_grad_enabled(bool(levels)):
             trace = encode_batch(part, params, config)
         logits.append(np.atleast_1d(trace.logit.values))
-        targets = [trace.level_tensor(level) for level in levels]
-        grads = grad(ops.sum_axes(trace.logit), targets)
-        per_level = {}
-        for level, target in zip(levels, targets):
-            g = grads[target].values
-            per_level[level] = g.sum(axis=-1) if g.ndim == 3 else g
-        for row, ex in enumerate(part):
-            n = min(len(ex.tokens), config.max_len)
-            out.append({level: per_level[level][row, :n].copy() for level in levels})
+        out += trace_scores(trace, part, levels, config.max_len)
     return out, _threshold(logits)[1]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Graph, grad
-from .evaluation import saliency_scores
+from .evaluation import trace_scores
 from .model import LEVELS, ModelConfig, ModelParams, encode_batch
 
 
@@ -108,7 +108,7 @@ def model_kink_margin(params, config, example, saliency_cfg=None):
     parameters. Used to resample gradient-check inputs per the smoothness
     rule. The forward margins are read off the nodes of one encode_batch
     pass; the hinge inputs are the marked tokens' per-level gradients, all
-    levels from one saliency_scores backward pass."""
+    levels from one backward pass over that same forward."""
     with Graph() as graph:
         trace = encode_batch([example], params, config)
     margins = []
@@ -127,7 +127,7 @@ def model_kink_margin(params, config, example, saliency_cfg=None):
     margin = min(margins)
     marked = np.array(example.rationale[: config.max_len]) > 0
     if saliency_cfg is not None and saliency_cfg.enabled and marked.any():
-        (scores,), _ = saliency_scores(params, config, [example], saliency_cfg.levels)
+        (scores,) = trace_scores(trace, [example], saliency_cfg.levels, config.max_len)
         margin = min([margin] + [float(np.min(np.abs(g[marked]))) for g in scores.values()])
     return margin
 

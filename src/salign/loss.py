@@ -53,13 +53,13 @@ def task_loss(logit, y):
     return ops.softplus(ops.mul(logit, Tensor(sign)))
 
 
-def hinge_penalty(G, Z, weight):
-    """weight * sum_i max(0, -Z_i * G_i); only marked tokens with negative
-    gradients are penalized, and a gradient of exactly zero costs nothing."""
+def hinge_penalty(G, Z):
+    """sum_i max(0, -Z_i * G_i); only marked tokens with negative gradients
+    are penalized, and a gradient of exactly zero costs nothing."""
     Z = np.asarray(Z, dtype=np.float64)
     if G.shape != Z.shape:
         raise ValueError(f"hinge_penalty: gradient shape {G.shape} vs mask {Z.shape}")
-    return ops.scale(ops.sum_axes(ops.relu(ops.neg(ops.mul(G, Tensor(Z))))), weight)
+    return ops.sum_axes(ops.relu(ops.neg(ops.mul(G, Tensor(Z)))))
 
 
 def padded_mask(example, n_max):
@@ -88,6 +88,6 @@ def total_cost(trace: ForwardTrace, examples, cfg: SaliencyConfig):
     penalty = None
     for target in targets:
         g = level_grads[target]
-        term = hinge_penalty(ops.sum_axes(g, (-1,)) if g.ndim == 3 else g, mask, 1.0)
+        term = hinge_penalty(ops.sum_axes(g, (-1,)) if g.ndim == 3 else g, mask)
         penalty = term if penalty is None else ops.add(penalty, term)
     return ops.add(mean_loss, ops.scale(penalty, cfg.strength / n))

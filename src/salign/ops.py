@@ -10,6 +10,10 @@ their second derivative is zero almost everywhere.
 add and mul broadcast an operand whose shape is a trailing suffix of the
 other's (a scalar is the empty suffix); every other shape change goes
 through an explicit op (sum_axes/expand_axes, concat/take/put, reshape).
+
+An op's values may share memory with its input (reshape and a sliced take
+return numpy views), which is safe because nothing writes into an op's
+values: the only in-place writes go to leaf tensors between graph builds.
 """
 
 from __future__ import annotations
@@ -205,7 +209,7 @@ def reshape(a, shape):
     def vjp(g, needs):
         return (reshape(g, old),)
 
-    return _node("reshape", a.values.reshape(shape).copy(), (a,), vjp)
+    return _node("reshape", a.values.reshape(shape), (a,), vjp)
 
 
 def transpose2d(a):
@@ -247,7 +251,7 @@ def shift_rows(a, offset):
     if a.ndim < 2:
         raise ValueError("shift_rows needs ndim >= 2")
 
-    out = np.zeros_like(a.values)
+    out = np.zeros(a.shape)
     if s == 0:
         out[...] = a.values
     elif s > 0:
@@ -292,16 +296,16 @@ def matmul_last(x, m):
 
 
 def take(a, key):
-    """a's entries at key, copied out. key is a fixed numpy index that picks
-    each entry at most once: basic slices, or one broadcast integer array
-    per axis."""
+    """a's entries at key: a view for basic slices, a fresh array for integer
+    arrays. key is a fixed numpy index that picks each entry at most once:
+    basic slices, or one broadcast integer array per axis."""
     a = _as_tensor(a)
     shape = a.shape
 
     def vjp(g, needs):
         return (put(g, key, shape),)
 
-    return _node("take", a.values[key].copy(), (a,), vjp)
+    return _node("take", a.values[key], (a,), vjp)
 
 
 def put(a, key, shape):
@@ -329,7 +333,7 @@ def gather_rows(table, ids):
     def vjp(g, needs):
         return (scatter_rows(g, ids, nrows),)
 
-    return _node("gather_rows", table.values[ids].copy(), (table,), vjp)
+    return _node("gather_rows", table.values[ids], (table,), vjp)
 
 
 def scatter_rows(src, ids, nrows):

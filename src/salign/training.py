@@ -121,7 +121,7 @@ def _batch_cost(examples, params, config, cfg, masks):
         level_tensor = trace.level_tensor(level)
         g = level_grads[level_tensor]
         G = ops.sum_axes(g, (-1,)) if g.ndim == 3 else g
-        term = hinge_penalty(G, mask, 1.0)
+        term = hinge_penalty(G, mask)
         penalty = term if penalty is None else ops.add(penalty, term)
     penalty = ops.scale(penalty, cfg.saliency.strength / n)
     return ops.add(mean_loss, penalty), mean_loss.item(), penalty.item()

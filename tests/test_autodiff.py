@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,25 @@ class TestFiniteDiffCheck:
             Tensor([1.0, 2.0]).item()
 
 
+class TestGradMemory:
+    def test_backward_frees_each_gradient_once_passed_on(self):
+        # Each scale VJP makes one new 1 MiB gradient from the one before.
+        # Freeing a gradient once it is passed on holds at most two of them
+        # at a time, where keeping them all until grad returns holds 41.
+        x = Tensor(np.ones((128, 1024)))
+        y = x
+        for _ in range(40):
+            y = ops.scale(y, 1.0)
+        root = ops.sum_axes(y)
+        tracemalloc.start()
+        try:
+            grad(root, [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.values.nbytes
+
+
 class TestGraphRecorder:
     def test_nodes_list_ops_in_creation_order(self):
         x = Tensor([1.0, -2.0])
@@ -581,6 +601,13 @@ def readout(y):
     return ops.sum_axes(ops.sigmoid(y))
 
 
+class SnapshotList(list):
+    """Graph.nodes that pairs each node with a copy of its values as built."""
+
+    def append(self, node):
+        super().append((node, node.values.copy()))
+
+
 class TestRandomOpGradients:
     """Every public op vs finite differences on smooth random input."""
 
@@ -599,6 +626,18 @@ class TestRandomOpGradients:
             if names:
                 strays[f"{op}-{label}"] = names
         assert strays == {}
+
+    @pytest.mark.parametrize("op,label", CASES, ids=CASE_IDS)
+    def test_no_pass_writes_into_values(self, op, label):
+        # an op's values may be a view of its input's, which is safe only
+        # while no forward or backward writes into a tensor's values
+        fn, tensors, _ = case_inputs(op, label)
+        graph = Graph()
+        graph.nodes = SnapshotList((t, t.values.copy()) for t in tensors)
+        with graph:
+            grads = grad(readout(fn(*tensors)), tensors, create_graph=True)
+            grad(functools.reduce(ops.add, map(ops.sum_axes, grads.values())), tensors)
+        assert [t.op for t, built in graph.nodes if not np.array_equal(t.values, built)] == []
 
     @pytest.mark.parametrize("op,label", CASES, ids=CASE_IDS)
     def test_first_order(self, op, label):

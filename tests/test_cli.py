@@ -124,6 +124,21 @@ class TestEvalVerifyCompare:
                        "--data", str(workspace / "test.jsonl"), "--out", str(out)) == 0
         assert out.read_text() == capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["eval", "verify", "compare", "saliency"])
+    def test_empty_data_exits_1_naming_it(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        model = ["--checkpoint", str(workspace / "sal/checkpoint.bin")]
+        if command == "compare":
+            model = ["--checkpoint-a", str(workspace / "base/checkpoint.bin"),
+                     "--checkpoint-b", str(workspace / "sal/checkpoint.bin")]
+        out = tmp_path / "out"
+        assert run_cli(command, *model, "--data", str(data), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {data}: no examples"]
+        assert not out.exists()
+
     def test_eval_runs_one_forward_pass_per_chunk(self, workspace, passes):
         assert run_cli("eval", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
                        "--data", str(workspace / "test.jsonl")) == 0

@@ -70,9 +70,10 @@ def test_hinge_penalty_nonnegative_and_homogeneous():
         Z = (rng.random(n) < 0.5).astype(int)
         lam = float(rng.uniform(0, 4))
         scale_factor = float(rng.uniform(0, 5))
-        base = hinge_penalty(G, Z, lam).item()
+        base = lam * hinge_penalty(G, Z).item()
         assert base >= 0.0
-        scaled = hinge_penalty(G, Z, lam * scale_factor).item()
+        # positively homogeneous in the gradients
+        scaled = lam * hinge_penalty(Tensor(G.values * scale_factor), Z).item()
         assert scaled == pytest.approx(scale_factor * base, rel=1e-12, abs=1e-300)
         # zero iff no marked token has a strictly negative gradient
         has_violation = bool(np.any((Z > 0) & (G.values < 0)))
