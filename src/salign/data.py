@@ -268,16 +268,20 @@ def load_jsonl(path, vocab: Vocabulary | None = None) -> Dataset:
                 raise ValueError(f"{path} line {lineno}: tokens must be a list of strings")
             if query is not None and not _is_string_list(query):
                 raise ValueError(f"{path} line {lineno}: query must be a list of strings")
-            if label not in (0, 1):
-                raise ValueError(f"{path} line {lineno}: label must be 0 or 1")
+            if type(label) is not int or label not in (0, 1):
+                raise ValueError(f"{path} line {lineno}: label must be the integer 0 or 1")
             if label == 0 and marked:
                 raise ValueError(
                     f"{path} line {lineno}: negative example with nonempty rationale"
                 )
+            if not isinstance(marked, list):
+                raise ValueError(f"{path} line {lineno}: rationale must be a list of token indices")
             rationale = [0] * len(tokens)
             for idx in marked:
-                if not isinstance(idx, int) or not 0 <= idx < len(tokens):
-                    raise ValueError(f"{path} line {lineno}: rationale index {idx} out of range")
+                if type(idx) is not int or not 0 <= idx < len(tokens):
+                    raise ValueError(
+                        f"{path} line {lineno}: rationale index {idx!r} is not a token position"
+                    )
                 rationale[idx] = 1
             to_id = vocab.add if build else vocab.id_for
             token_ids = [to_id(t) for t in tokens]

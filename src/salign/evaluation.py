@@ -13,6 +13,10 @@ from . import ops
 from .engine import grad, no_grad, set_grad_enabled
 from .model import LEVELS, encode_batch
 
+# examples per batched pass: a forward alone, or a forward and its backward
+PREDICT_CHUNK = 256
+SALIENCY_CHUNK = 128
+
 
 @dataclass
 class MetricsReport:
@@ -85,12 +89,12 @@ def _threshold(logits):
     return probs, (probs >= 0.5).astype(np.int64)
 
 
-def predict_batch(params, config, examples, chunk=256):
+def predict_batch(params, config, examples):
     """(probabilities, hard labels) for a list of examples, dropout off."""
     logits = []
     with no_grad():
-        for lo in range(0, len(examples), chunk):
-            trace = encode_batch(examples[lo : lo + chunk], params, config)
+        for lo in range(0, len(examples), PREDICT_CHUNK):
+            trace = encode_batch(examples[lo : lo + PREDICT_CHUNK], params, config)
             logits.append(np.atleast_1d(trace.logit.values))
     return _threshold(logits)
 
@@ -108,7 +112,7 @@ def trace_scores(trace, examples, levels, max_len):
     ]
 
 
-def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
+def saliency_scores(params, config, examples, levels=LEVELS):
     """Per-token score gradients and hard labels from one batched forward
     and backward pass per chunk, dropout off.
 
@@ -117,8 +121,8 @@ def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
     """
     out, logits = [], []
     levels = tuple(levels)
-    for lo in range(0, len(examples), chunk):
-        part = examples[lo : lo + chunk]
+    for lo in range(0, len(examples), SALIENCY_CHUNK):
+        part = examples[lo : lo + SALIENCY_CHUNK]
         with set_grad_enabled(bool(levels)):
             trace = encode_batch(part, params, config)
         logits.append(np.atleast_1d(trace.logit.values))
@@ -126,25 +130,22 @@ def saliency_scores(params, config, examples, levels=LEVELS, chunk=128):
     return out, _threshold(logits)[1]
 
 
-def evaluate_model(params, config, dataset, levels=LEVELS, chunk=128) -> MetricsReport:
+def evaluate_model(params, config, dataset, levels=LEVELS) -> MetricsReport:
     """Classification metrics plus per-level alignment accuracy, from one
     forward pass per chunk.
 
-    Alignment accuracy is micro-aggregated: the single-example formula over
-    all marked positions of the dataset, so examples with an all-zero mask
-    contribute nothing; a level is None when nothing is marked.
+    Alignment accuracy is micro-aggregated: saliency_accuracy over the
+    dataset's concatenated (truncated) masks and scores, so examples with an
+    all-zero mask contribute nothing; a level is None when nothing is marked.
     """
     examples = dataset.examples
-    scored, predicted = saliency_scores(params, config, examples, levels, chunk)
+    scored, predicted = saliency_scores(params, config, examples, levels)
     report = classification_metrics(predicted.tolist(), [ex.label for ex in examples])
-    hits = dict.fromkeys(levels, 0)
-    marked = 0
-    for ex, grads in zip(examples, scored):
-        mask = np.array(ex.rationale[: config.max_len]) > 0
-        marked += int(mask.sum())
-        for level in hits:
-            hits[level] += int((mask & (grads[level] > 0)).sum())
-    report.s_acc = {level: 100.0 * h / marked if marked else None for level, h in hits.items()}
+    mask = np.concatenate([ex.rationale[: config.max_len] for ex in examples])
+    report.s_acc = {
+        level: saliency_accuracy(np.concatenate([g[level] for g in scored]), mask)
+        for level in levels
+    }
     return report
 
 
@@ -211,10 +212,10 @@ class SaliencyReport:
     grads: dict
 
 
-def saliency_report(params, config, examples, vocab, levels=LEVELS):
-    """Per-token gradients of each example, dropout off, from one batched
-    pass per chunk. Returns (one SaliencyReport per example, hard labels)."""
-    scored, labels = saliency_scores(params, config, examples, levels)
+def saliency_report(params, config, examples, vocab):
+    """Per-token gradients of each example at every level, dropout off, from
+    one batched pass per chunk. Returns (a SaliencyReport per example, labels)."""
+    scored, labels = saliency_scores(params, config, examples)
     reports = []
     for ex, per_level in zip(examples, scored):
         tokens = [vocab.token_for(t) for t in ex.tokens[: config.max_len]]

@@ -11,7 +11,10 @@ import numpy as np
 
 from .engine import Graph, grad
 from .evaluation import trace_scores
-from .model import LEVELS, ModelConfig, ModelParams, encode_batch
+from .model import ModelConfig, ModelParams, encode_batch
+
+# smallest distance to a routing kink at which an input counts as smooth
+MIN_MARGIN = 1e-3
 
 
 def finite_diff_check(f, x, eps=1e-4):
@@ -57,7 +60,7 @@ def finite_diff_check_many(f, tensors, eps=1e-4):
     return max(per_tensor.values()), per_tensor
 
 
-def resample_until_smooth(draw, margin_of, min_margin=1e-3, tries=100):
+def resample_until_smooth(draw, margin_of, min_margin=MIN_MARGIN, tries=100):
     """Redraw random inputs until they sit away from routing kinks.
 
     draw(attempt) produces a candidate, margin_of(candidate) its distance to
@@ -132,7 +135,7 @@ def model_kink_margin(params, config, example, saliency_cfg=None):
     return margin
 
 
-def select_smooth_positives(params, config, examples, saliency_cfg, count, min_margin=1e-3):
+def select_smooth_positives(params, config, examples, saliency_cfg, count):
     """First `count` positive examples whose forward sits clear of kinks."""
     if count < 1:
         raise ValueError("examples must be positive")
@@ -142,7 +145,7 @@ def select_smooth_positives(params, config, examples, saliency_cfg, count, min_m
         if ex.label != 1 or ex.marked_count < 1:
             continue
         scanned += 1
-        if model_kink_margin(params, config, ex, saliency_cfg) > min_margin:
+        if model_kink_margin(params, config, ex, saliency_cfg) > MIN_MARGIN:
             chosen.append(ex)
             if len(chosen) == count:
                 return chosen
@@ -152,17 +155,7 @@ def select_smooth_positives(params, config, examples, saliency_cfg, count, min_m
     )
 
 
-def model_cost_gradcheck(
-    embed_dim=8,
-    max_len=6,
-    examples=5,
-    eps=1e-4,
-    seed=0,
-    strength=0.5,
-    levels=None,
-    vocab_size=12,
-    min_margin=1e-3,
-):
+def model_cost_gradcheck(embed_dim=8, max_len=6, examples=5, eps=1e-4, seed=0, strength=0.5):
     """Check the full multi-level training cost against central differences.
 
     Builds a small seeded model, draws random positive examples clear of
@@ -173,22 +166,20 @@ def model_cost_gradcheck(
     from .data import SynthConfig, gen_synthetic
     from .loss import SaliencyConfig, total_cost
 
-    config = ModelConfig(vocab_size=vocab_size, embed_dim=embed_dim, max_len=max_len)
+    config = ModelConfig(vocab_size=12, embed_dim=embed_dim, max_len=max_len)
     params = ModelParams(config, seed=seed)
-    saliency_cfg = SaliencyConfig(strength=strength, levels=tuple(levels or LEVELS))
+    saliency_cfg = SaliencyConfig(strength=strength)
     corpus = gen_synthetic(
         SynthConfig(
             count=200,
-            vocab_size=vocab_size,
+            vocab_size=config.vocab_size,
             trigger_count=2,
             min_len=max(1, max_len // 2),
             max_len=max_len,
             seed=seed + 1,
         )
     )
-    chosen = select_smooth_positives(
-        params, config, corpus.examples, saliency_cfg, examples, min_margin
-    )
+    chosen = select_smooth_positives(params, config, corpus.examples, saliency_cfg, examples)
     errors = []
     for ex in chosen:
 

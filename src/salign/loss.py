@@ -23,7 +23,7 @@ from .model import LEVELS, ForwardTrace
 @dataclass
 class SaliencyConfig:
     """strength is the shared penalty weight; levels selects which
-    representations are regularized."""
+    representations are regularized, each at most once."""
 
     strength: float = 0.0
     levels: tuple = LEVELS
@@ -35,6 +35,8 @@ class SaliencyConfig:
         for level in self.levels:
             if level not in LEVELS:
                 raise ValueError(f"unknown level {level!r}")
+            if self.levels.count(level) > 1:
+                raise ValueError(f"level {level!r} given more than once")
         if self.strength > 0 and not self.levels:
             raise ValueError("saliency training enabled but no levels selected")
 
@@ -69,6 +71,27 @@ def padded_mask(example, n_max):
     return np.array(mask + [0] * (n_max - len(mask)), dtype=np.float64)
 
 
+def mean_task_loss(trace: ForwardTrace, examples):
+    """Mean task loss of a batch; trace is encode_batch(examples, ...)."""
+    labels = np.array([ex.label for ex in examples], dtype=np.float64)
+    return ops.scale(ops.sum_axes(task_loss(trace.logit, labels)), 1.0 / len(examples))
+
+
+def alignment_penalty(level_grads, examples, strength):
+    """strength / n times the summed hinge terms of a batch's level gradients.
+
+    level_grads are the create-graph gradients of the summed logit, one per
+    level, each padded to the same length; a 3-D (word) gradient is summed
+    over its embedding axis first.
+    """
+    mask = np.stack([padded_mask(ex, level_grads[0].shape[1]) for ex in examples])
+    penalty = None
+    for g in level_grads:
+        term = hinge_penalty(ops.sum_axes(g, (-1,)) if g.ndim == 3 else g, mask)
+        penalty = term if penalty is None else ops.add(penalty, term)
+    return ops.scale(penalty, strength / len(examples))
+
+
 def total_cost(trace: ForwardTrace, examples, cfg: SaliencyConfig):
     """Mean over a batch of task loss plus one hinge term per enabled level.
 
@@ -77,17 +100,10 @@ def total_cost(trace: ForwardTrace, examples, cfg: SaliencyConfig):
     with respect to the parameters. With an all-zero mask or a zero strength
     the result equals the mean task loss exactly.
     """
-    n = len(examples)
-    labels = np.array([ex.label for ex in examples], dtype=np.float64)
-    mean_loss = ops.scale(ops.sum_axes(task_loss(trace.logit, labels)), 1.0 / n)
+    mean_loss = mean_task_loss(trace, examples)
     if not cfg.enabled:
         return mean_loss
     targets = [trace.level_tensor(level) for level in cfg.levels]
     level_grads = grad(ops.sum_axes(trace.logit), targets, create_graph=True)
-    mask = np.stack([padded_mask(ex, trace.dim_max.shape[-1]) for ex in examples])
-    penalty = None
-    for target in targets:
-        g = level_grads[target]
-        term = hinge_penalty(ops.sum_axes(g, (-1,)) if g.ndim == 3 else g, mask)
-        penalty = term if penalty is None else ops.add(penalty, term)
-    return ops.add(mean_loss, ops.scale(penalty, cfg.strength / n))
+    penalty = alignment_penalty([level_grads[t] for t in targets], examples, cfg.strength)
+    return ops.add(mean_loss, penalty)

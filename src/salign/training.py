@@ -9,7 +9,6 @@ Everything is deterministic given the run seed.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -17,8 +16,13 @@ import numpy as np
 from . import ops
 from .engine import grad
 from .evaluation import classification_metrics, predict_batch
-from .loss import SaliencyConfig, hinge_penalty, padded_mask, task_loss
+from .loss import SaliencyConfig, alignment_penalty, mean_task_loss
 from .model import ModelConfig, ModelParams, encode_batch
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -28,9 +32,6 @@ class NumericalError(RuntimeError):
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     dropout: float = 0.5
     epochs: int = 20
@@ -56,7 +57,6 @@ class EpochRecord:
     dev_recall: float
     dev_f1: float
     dev_accuracy: float
-    seconds: float
 
 
 @dataclass
@@ -65,13 +65,11 @@ class TrainLog:
     best_epoch: int = 0
 
     def to_jsonl(self, path):
-        """One record per epoch. Wall-clock stays in memory only so that
-        reruns of the same seed produce byte-identical files."""
+        """One record per epoch; no wall-clock, so that reruns of the same
+        seed produce byte-identical files."""
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self.records:
-                row = asdict(rec)
-                row.pop("seconds")
-                fh.write(json.dumps(row) + "\n")
+                fh.write(json.dumps(asdict(rec)) + "\n")
             fh.write(json.dumps({"best_epoch": self.best_epoch}) + "\n")
 
 
@@ -86,44 +84,33 @@ def adam_step(params: ModelParams, grads, state: AdamState, cfg: TrainConfig):
     """Standard bias-corrected Adam update, applied in place."""
     state.step += 1
     t = state.step
-    correct1 = 1.0 - cfg.beta1**t
-    correct2 = 1.0 - cfg.beta2**t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     for name, tensor in params.tensors().items():
         g = grads[name]
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for tensor {name!r}")
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / correct1
         v_hat = state.v[name] / correct2
-        tensor.values -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        tensor.values -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params, state
 
 
 def _batch_cost(examples, params, config, cfg, masks):
     """Mean cost of one batch; returns (cost tensor, task value, penalty value).
 
-    Builds loss.total_cost's graph op for op, but takes the level gradients
-    through this module's grad, which the benchmark's tracer times."""
-    n = len(examples)
+    Builds loss.total_cost's graph from the same pieces, but takes the level
+    gradients through this module's grad, which the benchmark's tracer times
+    under the name salign.training.grad."""
     trace = encode_batch(examples, params, config, dropout_masks=masks)
-    labels = np.array([ex.label for ex in examples], dtype=np.float64)
-    mean_loss = ops.scale(ops.sum_axes(task_loss(trace.logit, labels)), 1.0 / n)
+    mean_loss = mean_task_loss(trace, examples)
     if not cfg.saliency.enabled:
         return mean_loss, mean_loss.item(), 0.0
-    levels = cfg.saliency.levels
-    targets = [trace.level_tensor(level) for level in levels]
-    root = ops.sum_axes(trace.logit)
-    level_grads = grad(root, targets, create_graph=True)
-    mask = np.stack([padded_mask(ex, config.max_len) for ex in examples])
-    penalty = None
-    for level in levels:
-        level_tensor = trace.level_tensor(level)
-        g = level_grads[level_tensor]
-        G = ops.sum_axes(g, (-1,)) if g.ndim == 3 else g
-        term = hinge_penalty(G, mask)
-        penalty = term if penalty is None else ops.add(penalty, term)
-    penalty = ops.scale(penalty, cfg.saliency.strength / n)
+    targets = [trace.level_tensor(level) for level in cfg.saliency.levels]
+    level_grads = grad(ops.sum_axes(trace.logit), targets, create_graph=True)
+    penalty = alignment_penalty([level_grads[t] for t in targets], examples, cfg.saliency.strength)
     return ops.add(mean_loss, penalty), mean_loss.item(), penalty.item()
 
 
@@ -150,7 +137,6 @@ def train(config: ModelConfig, train_set, dev_set, cfg: TrainConfig, params=None
     feature = config.feature_size
 
     for epoch in range(1, cfg.epochs + 1):
-        started = time.perf_counter()
         order = rng.permutation(n)
         task_sum = 0.0
         penalty_sum = 0.0
@@ -185,7 +171,6 @@ def train(config: ModelConfig, train_set, dev_set, cfg: TrainConfig, params=None
                 dev_recall=metrics.recall,
                 dev_f1=metrics.f1,
                 dev_accuracy=metrics.accuracy,
-                seconds=time.perf_counter() - started,
             )
         )
         if metrics.f1 > best_f1:

@@ -56,6 +56,16 @@ class TestTrain:
         assert run_cli(*args, "--lambda", "0", "--out", str(tmp_path / "b")) == 0
         assert (tmp_path / "a/checkpoint.bin").read_bytes() == (tmp_path / "b/checkpoint.bin").read_bytes()
 
+    def test_repeated_level_exits_1_with_one_line(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--train", str(workspace / "train.jsonl"),
+                       "--dev", str(workspace / "dev.jsonl"), "--lambda", "0.5",
+                       "--levels", "word,word", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: level 'word' given more than once"]
+        assert not out.exists()
+
     def test_missing_dev_exits_1(self, workspace):
         code = run_cli("train", "--train", str(workspace / "train.jsonl"),
                        "--dev", str(workspace / "nope.jsonl"))
@@ -116,6 +126,23 @@ class TestEvalVerifyCompare:
         assert captured.err.splitlines() == [
             f"error: {data} line 1: {field} must be a list of strings"
         ]
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("rationale", [True, False, True], "rationale index True is not a token position"),
+        ("rationale", 1, "rationale must be a list of token indices"),
+        ("label", True, "label must be the integer 0 or 1"),
+    ])
+    def test_malformed_label_or_rationale_exits_1_with_one_line(self, workspace, tmp_path,
+                                                                capsys, field, value, message):
+        record = {"tokens": ["w4", "w5", "w6"], "label": 1, "rationale": [0]}
+        record[field] = value
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps(record) + "\n")
+        assert run_cli("eval", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
+                       "--data", str(data)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {data} line 1: {message}"]
 
     def test_compare_out_creates_parent_directory(self, workspace, tmp_path, capsys):
         out = tmp_path / "newdir" / "cmp.txt"

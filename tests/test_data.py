@@ -180,6 +180,33 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 1"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("marked,shown", [
+        ([True], "True"), ([True, False, True], "True"), ([0, False], "False"),
+        ([1.0], "1.0"), (["0"], "'0'"),
+    ])
+    def test_non_integer_rationale_index_rejected(self, tmp_path, marked, shown):
+        # a boolean is an int in Python; [true, false, true] must not mark tokens 1 and 0
+        good = {"tokens": ["a", "b", "c"], "label": 1, "rationale": [0]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, rationale=marked)) + "\n")
+        with pytest.raises(ValueError, match=f"line 2: rationale index {shown} is not a token position"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("marked", [5, None, "ab", {"0": 1}])
+    def test_rationale_must_be_a_list(self, tmp_path, marked):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"tokens": ["a", "b"], "label": 1, "rationale": marked}) + "\n")
+        with pytest.raises(ValueError, match="line 1: rationale must be a list of token indices"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("label", [True, False, 0.0, 1.0, "1", None, 2])
+    def test_label_must_be_integer_0_or_1(self, tmp_path, label):
+        good = {"tokens": ["a", "b"], "label": 0, "rationale": []}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, label=label)) + "\n")
+        with pytest.raises(ValueError, match="line 2: label must be the integer 0 or 1"):
+            load_jsonl(path)
+
     def test_negative_with_rationale_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"tokens":["a"],"label":1,"rationale":[0]}\n'

@@ -97,6 +97,32 @@ class TestSaliencyAccuracy:
                 hits += int(z == 1 and g > 0)
         assert agg["word"] == pytest.approx(100 * hits / marked)
 
+    @pytest.mark.parametrize("mode,positive_fraction", [("event", 0.5), ("qa", 0.5),
+                                                        ("event", 0.0)])
+    def test_truncated_micro_aggregation_equals_per_token_recount(self, mode,
+                                                                 positive_fraction):
+        # sentences of up to 10 tokens under max_len 6: marks past the cut do not count
+        config = ModelConfig(vocab_size=40, embed_dim=4, max_len=6, mode=mode)
+        params = ModelParams(config, seed=1)
+        ds = gen_synthetic(SynthConfig(count=80, vocab_size=40, trigger_count=3, min_len=4,
+                                       max_len=10, seed=4, mode=mode,
+                                       positive_fraction=positive_fraction))
+        assert any(len(ex.tokens) > config.max_len for ex in ds.examples)
+        s_acc = evaluate_model(params, config, ds).s_acc
+        scored, _ = saliency_scores(params, config, ds.examples)
+        for level in LEVELS:
+            hits = marked = 0
+            for ex, grads in zip(ds.examples, scored):
+                assert len(grads[level]) == min(len(ex.tokens), config.max_len)
+                for i, g in enumerate(grads[level]):
+                    marked += ex.rationale[i]
+                    hits += int(ex.rationale[i] == 1 and g > 0)
+            if positive_fraction == 0.0:
+                assert marked == 0 and s_acc[level] is None
+            else:
+                assert marked < sum(ex.marked_count for ex in ds.examples)
+                assert s_acc[level] == 100.0 * hits / marked
+
 
 class TestMcNemar:
     def test_balanced_single_pair(self):

@@ -112,6 +112,12 @@ class TestSaliencyConfig:
         with pytest.raises(ValueError):
             SaliencyConfig(strength=0.5, levels=("word", "attention"))
 
+    @pytest.mark.parametrize("levels", [("word", "word"), ("word", "decision", "word")])
+    def test_repeated_level_rejected(self, levels):
+        # a repeated level would count its hinge twice, training at a multiple of lambda
+        with pytest.raises(ValueError, match="level 'word' given more than once"):
+            SaliencyConfig(strength=0.5, levels=levels)
+
     def test_enabled_requires_levels(self):
         with pytest.raises(ValueError):
             SaliencyConfig(strength=0.5, levels=())
