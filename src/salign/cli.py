@@ -10,6 +10,7 @@ seed when neither a flag nor the config file does. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -42,6 +43,13 @@ from .report import render_heatmap
 from .training import NumericalError, TrainConfig, train
 
 GRADCHECK_TOLERANCE = 1e-4
+
+# glibc malloc keeps freed memory in the process: up to the first size at the
+# heap top, and blocks under the second off their own mappings. Each batched
+# pass rebuilds, at the same sizes, the graph the pass before it freed.
+MALLOC_TRIM_THRESHOLD = 256 << 20
+MALLOC_MMAP_THRESHOLD = 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -370,7 +378,23 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Set glibc's trim and mmap thresholds to the constants above, once per
+    process; does nothing where the C library has no mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+
+
 def main(argv=None):
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

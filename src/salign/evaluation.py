@@ -13,9 +13,10 @@ from . import ops
 from .engine import grad, no_grad, set_grad_enabled
 from .model import LEVELS, encode_batch
 
-# examples per batched pass: a forward alone, or a forward and its backward
+# examples per batched pass: a forward alone, or a forward and its backward;
+# a saliency chunk's graph is the largest allocation eval and saliency make
 PREDICT_CHUNK = 256
-SALIENCY_CHUNK = 128
+SALIENCY_CHUNK = 64
 
 
 @dataclass
@@ -127,6 +128,7 @@ def saliency_scores(params, config, examples, levels=LEVELS):
             trace = encode_batch(part, params, config)
         logits.append(np.atleast_1d(trace.logit.values))
         out += trace_scores(trace, part, levels, config.max_len)
+        del trace  # free this chunk's graph before the next one is built
     return out, _threshold(logits)[1]
 
 

@@ -32,8 +32,8 @@ def finite_diff_check_many(f, tensors, eps=1e-4):
     f takes no arguments and rebuilds its graph from the tensors' current
     values on every call. Returns (max error, {name: error}).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     y = f()
     if y.shape not in ((), (1,)):
         raise ValueError("finite_diff_check_many: f must return a scalar")
@@ -54,8 +54,9 @@ def finite_diff_check_many(f, tensors, eps=1e-4):
             flat[i] = orig
             cd = (up - down) / (2.0 * eps)
             err = abs(analytic[i] - cd) / max(1.0, abs(cd))
-            if err > worst:
-                worst = err
+            if not np.isfinite(err):  # a NaN would compare below any error
+                err = np.inf
+            worst = max(worst, err)
         per_tensor[name] = worst
     return max(per_tensor.values()), per_tensor
 

@@ -29,8 +29,10 @@ class SaliencyConfig:
     levels: tuple = LEVELS
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError("penalty strength must be nonnegative")
+        if not 0 <= self.strength < np.inf:
+            raise ValueError(
+                f"penalty strength must be finite and nonnegative, got {self.strength}"
+            )
         self.levels = tuple(self.levels)
         for level in self.levels:
             if level not in LEVELS:

@@ -40,8 +40,8 @@ class TrainConfig:
     saliency: SaliencyConfig = field(default_factory=SaliencyConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
@@ -154,6 +154,7 @@ def train(config: ModelConfig, train_set, dev_set, cfg: TrainConfig, params=None
             named = params.tensors()
             grads = grad(cost, list(named.values()))
             adam_step(params, {name: grads[t].values for name, t in named.items()}, state, cfg)
+            del cost, grads  # free this step's graph before the next batch's forward
             if not params.all_finite():
                 raise NumericalError(f"non-finite parameter after epoch {epoch}, batch {batches}")
             task_sum += task_value

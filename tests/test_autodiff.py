@@ -388,8 +388,26 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(lambda t: ops.sum_axes(ops.mul(t, t)), x) < 1e-7
 
     def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError):
-            finite_diff_check(lambda t: ops.sum_axes(t), Tensor([1.0]), eps=0.0)
+        for eps in (0.0, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                finite_diff_check(lambda t: ops.sum_axes(t), Tensor([1.0]), eps=eps)
+
+    def test_nan_off_the_base_point_fails(self):
+        # The analytic gradient at the base point is exact, but every
+        # perturbed cost is NaN: the central differences are NaN, and a NaN
+        # error must not pass as 0.
+        x = Tensor([1.0, 2.0])
+        base = x.values.copy()
+
+        def f(t):
+            y = ops.sum_axes(ops.mul(t, t))
+            return y if np.array_equal(t.values, base) else ops.scale(y, np.nan)
+
+        assert finite_diff_check(f, x) == np.inf
+
+    def test_non_finite_analytic_gradient_fails(self):
+        x = Tensor([1.0, 2.0])
+        assert finite_diff_check(lambda t: ops.sum_axes(ops.scale(t, np.inf)), x) == np.inf
 
     def test_one_element_root_accepted(self):
         x = Tensor([1.0, -2.0, 0.5])

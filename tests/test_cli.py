@@ -1,19 +1,33 @@
+import ctypes
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from salign import cli
 from salign.cli import main
 from salign.data import Example, SynthConfig, Vocabulary, gen_synthetic, load_jsonl
-from salign.evaluation import SaliencyReport, predict_batch, saliency_report
+from salign.evaluation import (
+    PREDICT_CHUNK,
+    SALIENCY_CHUNK,
+    SaliencyReport,
+    predict_batch,
+    saliency_report,
+)
 from salign.model import ModelConfig, ModelParams, save_checkpoint
 from salign.report import render_heatmap
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def chunk_passes(count, chunk, graph):
+    """The passes spy's record of one pass per chunk over count examples."""
+    return [(min(chunk, count - lo), graph) for lo in range(0, count, chunk)]
 
 
 @pytest.fixture(scope="module")
@@ -169,8 +183,9 @@ class TestEvalVerifyCompare:
     def test_eval_runs_one_forward_pass_per_chunk(self, workspace, passes):
         assert run_cli("eval", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
                        "--data", str(workspace / "test.jsonl")) == 0
-        assert passes["forward"] == [(80, True)]
-        assert passes["backward"] == 1
+        scored = chunk_passes(80, SALIENCY_CHUNK, True)
+        assert passes["forward"] == scored
+        assert passes["backward"] == len(scored)
 
 
 @pytest.fixture(scope="module")
@@ -351,17 +366,17 @@ class TestSaliencyCommand:
             block = body.split('<div class="predictions">\n')[1].split("\n</div>")[0]
             assert block == expected
 
-    def test_runs_one_pass_per_128_heatmaps(self, workspace, tmp_path, passes):
+    def test_runs_one_pass_per_chunk_of_heatmaps(self, workspace, tmp_path, passes):
         data = tmp_path / "big.jsonl"
         assert run_cli("synth", "--count", "300", "--seed", "5", "--out", str(data), "--vocab-size",
                        "80", "--triggers", "4", "--min-len", "4", "--max-len", "8") == 0
         assert run_cli("saliency", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
                        "--baseline-checkpoint", str(workspace / "base/checkpoint.bin"),
                        "--data", str(data), "--limit", "300", "--out", str(tmp_path / "maps")) == 0
-        scored = [(128, True), (128, True), (44, True)]
-        baseline = [(256, False), (44, False)]  # predict_batch, no graph
+        scored = chunk_passes(300, SALIENCY_CHUNK, True)
+        baseline = chunk_passes(300, PREDICT_CHUNK, False)  # predict_batch, no graph
         assert passes["forward"] == scored + baseline
-        assert passes["backward"] == 3
+        assert passes["backward"] == len(scored)
         assert len(list((tmp_path / "maps").glob("heatmap_*.html"))) == 300
 
 
@@ -390,6 +405,51 @@ class TestGradcheckCommand:
     def test_nonpositive_examples_exits_1_with_one_line(self, capsys, count):
         assert run_cli("gradcheck", "--examples", count) == 1
         assert capsys.readouterr().err.splitlines() == ["error: examples must be positive"]
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lambda", "nan", "penalty strength must be finite and nonnegative, got nan"),
+        ("--lambda", "inf", "penalty strength must be finite and nonnegative, got inf"),
+        ("--lr", "nan", "learning rate must be finite and positive, got nan"),
+        ("--lr", "inf", "learning rate must be finite and positive, got inf"),
+    ])
+    def test_train_exits_1_with_one_line(self, workspace, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "run"
+        assert run_cli("train", "--train", str(workspace / "train.jsonl"),
+                       "--dev", str(workspace / "dev.jsonl"), "--epochs", "1",
+                       flag, value, "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--eps", "nan", "eps must be finite and positive, got nan"),
+        ("--eps", "inf", "eps must be finite and positive, got inf"),
+        ("--strength", "nan", "penalty strength must be finite and nonnegative, got nan"),
+        ("--strength", "inf", "penalty strength must be finite and nonnegative, got inf"),
+    ])
+    def test_gradcheck_exits_1_with_one_line(self, capsys, flag, value, message):
+        assert run_cli("gradcheck", "--examples", "1", flag, value) == 1
+        captured = capsys.readouterr()
+        assert "max rel error" not in captured.out
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+
+class TestAllocatorSetting:
+    def test_sets_both_thresholds_through_mallopt(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_memory.__wrapped__()
+        assert calls == [(-1, cli.MALLOC_TRIM_THRESHOLD), (-3, cli.MALLOC_MMAP_THRESHOLD)]
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_memory.__wrapped__() is None
 
 
 class TestUsageErrors:

@@ -1,10 +1,13 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from salign.data import Example, SynthConfig, gen_synthetic
 from salign.evaluation import (
+    SALIENCY_CHUNK,
     SaliencyReport,
     classification_metrics,
     delta_tpr,
@@ -272,6 +275,22 @@ class TestReports:
         np.testing.assert_array_equal(labels, (probs >= 0.5).astype(int))
 
 
+def chunk_passes(count, chunk, graph):
+    """The passes spy's record of one pass per chunk over count examples."""
+    return [(min(chunk, count - lo), graph) for lo in range(0, count, chunk)]
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees allocated while fn() runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def corpus(mode, count, seed=5):
     """Sentences up to 10 tokens, so a max_len of 8 truncates some."""
     return gen_synthetic(SynthConfig(count=count, vocab_size=40, trigger_count=3, min_len=4,
@@ -320,8 +339,9 @@ class TestOnePassPerJob:
         params, config = self.model("qa", ds.examples)
         passes["forward"].clear()
         report = evaluate_model(params, config, ds)
-        assert passes["forward"] == [(128, True), (128, True), (44, True)]
-        assert passes["backward"] == 3
+        scored = chunk_passes(300, SALIENCY_CHUNK, True)
+        assert passes["forward"] == scored
+        assert passes["backward"] == len(scored)
         assert set(report.s_acc) == set(LEVELS)
 
     @pytest.mark.parametrize("mode", ["event", "qa"])
@@ -345,11 +365,26 @@ class TestOnePassPerJob:
             truncated += len(ex.tokens) > config.max_len
         assert truncated > 0
 
-    def test_saliency_report_runs_one_pass_per_128_heatmaps(self, passes):
+    def test_saliency_report_runs_one_pass_per_chunk(self, passes):
         ds = corpus("event", 300)
         params, config = self.model("event", ds.examples)
         passes["forward"].clear()
         reports, labels = saliency_report(params, config, ds.examples, ds.vocab)
-        assert passes["forward"] == [(128, True), (128, True), (44, True)]
-        assert passes["backward"] == 3
+        scored = chunk_passes(300, SALIENCY_CHUNK, True)
+        assert passes["forward"] == scored
+        assert passes["backward"] == len(scored)
         assert len(reports) == len(labels) == 300
+
+
+class TestSaliencyPeakMemory:
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_four_chunks_peak_like_one(self, mode):
+        # Each chunk's graph is freed before the next chunk's forward, so
+        # the peak holds one chunk's graph however many chunks there are.
+        # Keeping the previous chunk's graph alive reads 1.5-1.7 here.
+        config = ModelConfig(vocab_size=40, embed_dim=16, max_len=12, mode=mode)
+        params = ModelParams(config, seed=3)
+        examples = corpus(mode, 4 * SALIENCY_CHUNK).examples
+        one = traced_peak(lambda: saliency_scores(params, config, examples[:SALIENCY_CHUNK]))
+        four = traced_peak(lambda: saliency_scores(params, config, examples))
+        assert four <= 1.15 * one

@@ -118,6 +118,12 @@ class TestSaliencyConfig:
         with pytest.raises(ValueError, match="level 'word' given more than once"):
             SaliencyConfig(strength=0.5, levels=levels)
 
+    @pytest.mark.parametrize("strength", [math.nan, math.inf])
+    def test_non_finite_strength_rejected(self, strength):
+        # nan < 0 and nan > 0 are both false: a NaN strength would train as 0
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SaliencyConfig(strength=strength)
+
     def test_enabled_requires_levels(self):
         with pytest.raises(ValueError):
             SaliencyConfig(strength=0.5, levels=())

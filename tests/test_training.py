@@ -1,4 +1,6 @@
 import functools
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +138,13 @@ class TestBatchCost:
         assert worst < 1e-4
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
+            TrainConfig(learning_rate=lr)
+
+
 class TestTrainLoop:
     def test_requires_dev_split(self):
         train_set, _ = tiny_sets()
@@ -252,3 +261,29 @@ class TestTrainLoop:
         report = evaluate_model(params, config, dev_set, levels=("word",))
         assert report.accuracy >= 90.0
         assert report.s_acc["word"] >= 90.0
+
+
+class TestTrainPeakMemory:
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_eight_batches_peak_like_one(self, mode):
+        # Each step's cost graph and gradients are freed before the next
+        # batch's forward, so an epoch's peak holds one step's graph however
+        # many batches it runs. Keeping the previous step's graph alive
+        # reads 1.5-1.6 here.
+        ds = gen_synthetic(SynthConfig(count=8 * 32 + 16, vocab_size=40, trigger_count=3,
+                                       min_len=4, max_len=12, seed=6, mode=mode))
+        dev_set = ds.subset(8 * 32, 8 * 32 + 16)
+        config = ModelConfig(vocab_size=40, embed_dim=16, max_len=12, mode=mode)
+        cfg = TrainConfig(epochs=1, batch_size=32, seed=1, learning_rate=1e-3,
+                          saliency=SaliencyConfig(strength=0.5))
+        peaks = []
+        for batches in (1, 8):
+            train_set = ds.subset(0, 32 * batches)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                train(config, train_set, dev_set, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.15 * peaks[0]

@@ -24,10 +24,13 @@ export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 unset SF_SEED
 : > log.txt
 
-salign() {
-    echo "\$ salign $*" >> log.txt
-    python3 -m salign.cli "$@" >> log.txt 2>&1 || echo "exit $?" >> log.txt
-}
+# tools/command_cost.sh sources this file with its own salign defined
+if ! declare -F salign > /dev/null; then
+    salign() {
+        echo "\$ salign $*" >> log.txt
+        python3 -m salign.cli "$@" >> log.txt 2>&1 || echo "exit $?" >> log.txt
+    }
+fi
 
 corpus="--mode $mode --vocab-size 100 --triggers 5 --min-len 6 --max-len 14"
 salign synth $corpus --count 600 --seed 1 --out train.jsonl
