@@ -56,8 +56,8 @@ for tag, strength in (("baseline", 0.0), ("regularized", 0.5)):
 
 # does the regularized model beat the baseline significantly?
 labels = np.array(test_set.labels())
-_, pred_a = predict_batch(models["baseline"], config, test_set.examples)
-_, pred_b = predict_batch(models["regularized"], config, test_set.examples)
+pred_a = predict_batch(models["baseline"], config, test_set.examples)
+pred_b = predict_batch(models["regularized"], config, test_set.examples)
 b = int(np.sum((pred_a == labels) & (pred_b != labels)))
 c = int(np.sum((pred_b == labels) & (pred_a != labels)))
 if b + c:

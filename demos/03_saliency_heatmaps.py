@@ -32,7 +32,7 @@ out_dir.mkdir(exist_ok=True)
 shown = [(i, ex) for i, ex in enumerate(test_set.examples) if ex.label == 1][:8]
 examples = [ex for _, ex in shown]
 reports, own = saliency_report(trained["saliency"], config, examples, corpus.vocab)
-_, base = predict_batch(trained["baseline"], config, examples)
+base = predict_batch(trained["baseline"], config, examples)
 for (i, ex), report, mine, theirs in zip(shown, reports, own, base):
     predictions = {"baseline": int(theirs), "saliency": int(mine)}
     page = render_heatmap(ex, report, predictions, k=6)

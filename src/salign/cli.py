@@ -303,7 +303,7 @@ def cmd_saliency(run):
     examples = dataset.examples[: run["limit"]]
     reports, own = saliency_report(params, config, examples, vocab)
     if baseline is not None:
-        _, other = predict_batch(*baseline, examples)
+        other = predict_batch(*baseline, examples)
     for i, (ex, rep) in enumerate(zip(examples, reports)):
         if baseline is not None:
             predictions = {"baseline": int(other[i]), "saliency": int(own[i])}
@@ -349,8 +349,8 @@ def cmd_compare(run):
     dataset, config_a = _dataset_for(config_a, run["data"], vocab)
     params_b, config_b = _load_checkpoint(run["checkpoint_b"], vocab, dataset.mode)
     labels = np.array(dataset.labels())
-    _, pred_a = predict_batch(params_a, config_a, dataset.examples)
-    _, pred_b = predict_batch(params_b, config_b, dataset.examples)
+    pred_a = predict_batch(params_a, config_a, dataset.examples)
+    pred_b = predict_batch(params_b, config_b, dataset.examples)
     a_only = int(np.sum((pred_a == labels) & (pred_b != labels)))
     b_only = int(np.sum((pred_b == labels) & (pred_a != labels)))
     p = f"{mcnemar_one_sided(a_only, b_only):.6g}" if a_only + b_only else "nan"

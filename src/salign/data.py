@@ -109,9 +109,6 @@ class Dataset:
     def subset(self, lo, hi):
         return Dataset(self.vocab, self.examples[lo:hi], self.mode)
 
-    def positives(self):
-        return [ex for ex in self.examples if ex.label == 1]
-
     def labels(self):
         return [ex.label for ex in self.examples]
 

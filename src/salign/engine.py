@@ -80,10 +80,6 @@ class Tensor:
         """Leaf tensor sharing this tensor's values."""
         return Tensor(self.values)
 
-    @property
-    def is_leaf(self):
-        return self.vjp is None
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, values={self.values!r})"
 

@@ -13,9 +13,8 @@ from . import ops
 from .engine import grad, no_grad, set_grad_enabled
 from .model import LEVELS, encode_batch
 
-# examples per batched pass: a forward alone, or a forward and its backward;
-# a saliency chunk's graph is the largest allocation eval and saliency make
-PREDICT_CHUNK = 256
+# examples per batched pass, a forward alone or a forward and its backward;
+# a chunk's graph is the largest allocation eval and saliency make
 SALIENCY_CHUNK = 64
 
 
@@ -82,22 +81,10 @@ def saliency_accuracy(G, Z):
     return 100.0 * hits / marked
 
 
-def _threshold(logits):
-    """(probabilities, hard labels) for a list of logit chunks; the one
-    threshold rule behind predict_batch and saliency_scores."""
-    with no_grad():
-        probs = ops.sigmoid(np.concatenate(logits)).values if logits else np.zeros(0)
-    return probs, (probs >= 0.5).astype(np.int64)
-
-
 def predict_batch(params, config, examples):
-    """(probabilities, hard labels) for a list of examples, dropout off."""
-    logits = []
-    with no_grad():
-        for lo in range(0, len(examples), PREDICT_CHUNK):
-            trace = encode_batch(examples[lo : lo + PREDICT_CHUNK], params, config)
-            logits.append(np.atleast_1d(trace.logit.values))
-    return _threshold(logits)
+    """Hard labels for a list of examples, dropout off: saliency_scores'
+    forward-only pass."""
+    return saliency_scores(params, config, examples, levels=())[1]
 
 
 def trace_scores(trace, examples, levels, max_len):
@@ -105,7 +92,7 @@ def trace_scores(trace, examples, levels, max_len):
     backward pass: one dict per example mapping level -> array over its true
     (unpadded, possibly truncated) token positions."""
     targets = [trace.level_tensor(level) for level in levels]
-    grads = grad(ops.sum_axes(trace.logit), targets)
+    grads = grad(ops.sum_axes(trace.logit), targets) if targets else {}
     sums = [grads[t].values.sum(axis=-1) if t.ndim == 3 else grads[t].values for t in targets]
     return [
         {level: g[row, : min(len(ex.tokens), max_len)].copy() for level, g in zip(levels, sums)}
@@ -115,10 +102,11 @@ def trace_scores(trace, examples, levels, max_len):
 
 def saliency_scores(params, config, examples, levels=LEVELS):
     """Per-token score gradients and hard labels from one batched forward
-    and backward pass per chunk, dropout off.
+    and backward pass per chunk, dropout off; with no levels, each chunk's
+    forward runs alone and builds no graph.
 
     Returns (scores, labels): trace_scores' dict per example, and the labels
-    predict_batch would give, thresholded from the same logits.
+    sigmoid(logit) >= 0.5.
     """
     out, logits = [], []
     levels = tuple(levels)
@@ -129,7 +117,9 @@ def saliency_scores(params, config, examples, levels=LEVELS):
         logits.append(np.atleast_1d(trace.logit.values))
         out += trace_scores(trace, part, levels, config.max_len)
         del trace  # free this chunk's graph before the next one is built
-    return out, _threshold(logits)[1]
+    with no_grad():
+        probs = ops.sigmoid(np.concatenate(logits)).values if logits else np.zeros(0)
+    return out, (probs >= 0.5).astype(np.int64)
 
 
 def evaluate_model(params, config, dataset, levels=LEVELS) -> MetricsReport:
@@ -139,6 +129,8 @@ def evaluate_model(params, config, dataset, levels=LEVELS) -> MetricsReport:
     Alignment accuracy is micro-aggregated: saliency_accuracy over the
     dataset's concatenated (truncated) masks and scores, so examples with an
     all-zero mask contribute nothing; a level is None when nothing is marked.
+    The logit is affine in the decision level, whose gradient at position i is
+    out_weight[embed_dim + i] for any input: decision s_acc reads the head alone.
     """
     examples = dataset.examples
     scored, predicted = saliency_scores(params, config, examples, levels)
@@ -194,9 +186,8 @@ def verify_tpr_drop(params, config, positives) -> VerificationReport:
     for ex in positives:
         if ex.label != 1 or ex.marked_count < 1:
             raise ValueError("verification needs marked positive examples")
-    _, before = predict_batch(params, config, positives)
-    stripped = [remove_marked(ex) for ex in positives]
-    _, after = predict_batch(params, config, stripped)
+    before = predict_batch(params, config, positives)
+    after = predict_batch(params, config, [remove_marked(ex) for ex in positives])
     tpr0 = 100.0 * float(np.mean(before == 1))
     tpr1 = 100.0 * float(np.mean(after == 1))
     if tpr0 == 0.0:

@@ -95,7 +95,6 @@ def adam_step(params: ModelParams, grads, state: AdamState, cfg: TrainConfig):
         m_hat = state.m[name] / correct1
         v_hat = state.v[name] / correct2
         tensor.values -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return params, state
 
 
 def _batch_cost(examples, params, config, cfg, masks):
@@ -161,7 +160,7 @@ def train(config: ModelConfig, train_set, dev_set, cfg: TrainConfig, params=None
             penalty_sum += penalty_value
             batches += 1
 
-        _, dev_pred = predict_batch(params, config, dev_set.examples)
+        dev_pred = predict_batch(params, config, dev_set.examples)
         metrics = classification_metrics(dev_pred.tolist(), dev_labels)
         log.records.append(
             EpochRecord(

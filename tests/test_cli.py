@@ -11,7 +11,6 @@ from salign import cli
 from salign.cli import main
 from salign.data import Example, SynthConfig, Vocabulary, gen_synthetic, load_jsonl
 from salign.evaluation import (
-    PREDICT_CHUNK,
     SALIENCY_CHUNK,
     SaliencyReport,
     predict_batch,
@@ -200,7 +199,7 @@ def wide(workspace):
 
 def own_predictions(path, examples):
     params, config = ModelParams.load(path)
-    return predict_batch(params, config, examples)[1]
+    return predict_batch(params, config, examples)
 
 
 class TestSecondCheckpoint:
@@ -356,9 +355,9 @@ class TestSaliencyCommand:
         base, _ = ModelParams.load(workspace / "base/checkpoint.bin")
         examples = load_jsonl(workspace / "test.jsonl", Vocabulary.load(workspace / "sal/vocab.txt")).examples
         for i, ex in enumerate(examples[:12]):
-            own = int(predict_batch(sal, config, [ex])[1][0])
+            own = int(predict_batch(sal, config, [ex])[0])
             if with_baseline:
-                other = int(predict_batch(base, config, [ex])[1][0])
+                other = int(predict_batch(base, config, [ex])[0])
                 expected = f"baseline: {other}<br>\nsaliency: {own}"
             else:
                 expected = f"model: {own}"
@@ -374,7 +373,7 @@ class TestSaliencyCommand:
                        "--baseline-checkpoint", str(workspace / "base/checkpoint.bin"),
                        "--data", str(data), "--limit", "300", "--out", str(tmp_path / "maps")) == 0
         scored = chunk_passes(300, SALIENCY_CHUNK, True)
-        baseline = chunk_passes(300, PREDICT_CHUNK, False)  # predict_batch, no graph
+        baseline = chunk_passes(300, SALIENCY_CHUNK, False)  # predict_batch, no graph
         assert passes["forward"] == scored + baseline
         assert passes["backward"] == len(scored)
         assert len(list((tmp_path / "maps").glob("heatmap_*.html"))) == 300

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from salign import ops
 from salign.data import Example, SynthConfig, gen_synthetic
+from salign.engine import no_grad
 from salign.evaluation import (
     SALIENCY_CHUNK,
     SaliencyReport,
@@ -22,7 +24,7 @@ from salign.evaluation import (
     top_k_salient,
     verify_tpr_drop,
 )
-from salign.model import LEVELS, ModelConfig, ModelParams
+from salign.model import LEVELS, ModelConfig, ModelParams, encode_batch
 from salign.training import TrainConfig, train
 from salign.loss import SaliencyConfig
 
@@ -271,8 +273,15 @@ class TestReports:
         ds = gen_synthetic(SynthConfig(count=12, vocab_size=40, trigger_count=3, seed=10))
         config = ModelConfig(vocab_size=40, embed_dim=4, max_len=12)
         params = ModelParams(config, seed=3)
-        probs, labels = predict_batch(params, config, ds.examples)
-        np.testing.assert_array_equal(labels, (probs >= 0.5).astype(int))
+        probs = 1.0 / (1.0 + np.exp(-logits(params, config, ds.examples)))
+        np.testing.assert_array_equal(predict_batch(params, config, ds.examples),
+                                      (probs >= 0.5).astype(int))
+
+
+def logits(params, config, examples):
+    """The model's logits from one graph-free forward."""
+    with no_grad():
+        return encode_batch(examples, params, config).logit.values
 
 
 def chunk_passes(count, chunk, graph):
@@ -303,15 +312,14 @@ class TestOnePassPerJob:
         """A seeded model whose bias is set so about half its labels are 1."""
         config = ModelConfig(vocab_size=40, embed_dim=6, max_len=8, mode=mode)
         params = ModelParams(config, seed=3)
-        probs, _ = predict_batch(params, config, examples)
-        params.out_bias.values[...] -= np.median(np.log(probs / (1.0 - probs)))
+        params.out_bias.values[...] -= np.median(logits(params, config, examples))
         return params, config
 
     @pytest.mark.parametrize("mode", ["event", "qa"])
     def test_evaluate_model_labels_equal_predict_batch(self, mode):
         ds = corpus(mode, 300)
         params, config = self.model(mode, ds.examples)
-        _, labels = predict_batch(params, config, ds.examples)
+        labels = predict_batch(params, config, ds.examples)
         assert 0 < labels.sum() < len(labels)
         np.testing.assert_array_equal(saliency_scores(params, config, ds.examples)[1], labels)
         report = evaluate_model(params, config, ds)
@@ -326,8 +334,9 @@ class TestOnePassPerJob:
         params, config = self.model("event", ds.examples)
         params.out_weight.values[...] = 0.0
         params.out_bias.values[...] = logit
-        probs, labels = predict_batch(params, config, ds.examples)
-        assert (probs == 0.5).all() and labels.all()
+        assert ops.sigmoid(np.array(logit)).item() == 0.5
+        labels = predict_batch(params, config, ds.examples)
+        assert labels.all()
         for levels in (LEVELS, ()):
             np.testing.assert_array_equal(saliency_scores(params, config, ds.examples, levels)[1],
                                           labels)
@@ -350,7 +359,7 @@ class TestOnePassPerJob:
         params, config = self.model(mode, ds.examples)
         reports, labels = saliency_report(params, config, ds.examples, ds.vocab)
         assert len(reports) == len(ds.examples)
-        np.testing.assert_array_equal(labels, predict_batch(params, config, ds.examples)[1])
+        np.testing.assert_array_equal(labels, predict_batch(params, config, ds.examples))
         truncated = 0
         for ex, rep in zip(ds.examples, reports):
             (alone,), _ = saliency_scores(params, config, [ex])
@@ -379,12 +388,14 @@ class TestOnePassPerJob:
 class TestSaliencyPeakMemory:
     @pytest.mark.parametrize("mode", ["event", "qa"])
     def test_four_chunks_peak_like_one(self, mode):
-        # Each chunk's graph is freed before the next chunk's forward, so
-        # the peak holds one chunk's graph however many chunks there are.
-        # Keeping the previous chunk's graph alive reads 1.5-1.7 here.
+        # Each chunk's trace is freed before the next chunk's forward, so
+        # the peak holds one chunk's trace however many chunks there are.
+        # Keeping the previous chunk's trace alive reads 1.5-1.7 here for
+        # saliency_scores' graphs and 1.2 for predict_batch's forwards.
         config = ModelConfig(vocab_size=40, embed_dim=16, max_len=12, mode=mode)
         params = ModelParams(config, seed=3)
         examples = corpus(mode, 4 * SALIENCY_CHUNK).examples
-        one = traced_peak(lambda: saliency_scores(params, config, examples[:SALIENCY_CHUNK]))
-        four = traced_peak(lambda: saliency_scores(params, config, examples))
-        assert four <= 1.15 * one
+        for job in (saliency_scores, predict_batch):
+            one = traced_peak(lambda: job(params, config, examples[:SALIENCY_CHUNK]))
+            four = traced_peak(lambda: job(params, config, examples))
+            assert four <= 1.15 * one, job.__name__

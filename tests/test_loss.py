@@ -5,7 +5,7 @@ import pytest
 
 from salign import Tensor, grad
 from salign.data import Example, SynthConfig, gen_synthetic
-from salign.evaluation import saliency_scores
+from salign.evaluation import evaluate_model, saliency_scores
 from salign.gradcheck import (
     finite_diff_check_many,
     model_cost_gradcheck,
@@ -52,12 +52,27 @@ class TestTokenSaliency:
         self.config = ModelConfig(vocab_size=20, embed_dim=4, max_len=5)
         self.params = ModelParams(self.config, seed=0)
 
-    def test_decision_level_passes_through(self):
-        # the logit is affine in dim_max, so its gradient is the head's weights
-        ex = example([4, 9, 12, 7], marked=(1,))
-        (scores,), _ = saliency_scores(self.params, self.config, [ex], ("decision",))
-        d = self.config.embed_dim
-        np.testing.assert_array_equal(scores["decision"], self.params.out_weight.values[d : d + 4])
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    @pytest.mark.parametrize("count", [1, 70])
+    def test_decision_level_passes_through(self, mode, count):
+        # the logit is affine in dim_max, so its gradient is the head's
+        # weights whatever the input: decision-level s_acc reads the head alone.
+        # Seed 12 gives marked tokens and truncated sentences at either count.
+        config = ModelConfig(vocab_size=40, embed_dim=4, max_len=8, mode=mode)
+        params = ModelParams(config, seed=0)
+        dataset = gen_synthetic(SynthConfig(count=count, vocab_size=40, trigger_count=3,
+                                            min_len=4, max_len=10, seed=12, mode=mode))
+        scored, _ = saliency_scores(params, config, dataset.examples, ("decision",))
+        d, w = config.embed_dim, params.out_weight.values
+        hits = marked = 0
+        for ex, scores in zip(dataset.examples, scored):
+            n = min(len(ex.tokens), config.max_len)
+            assert scores["decision"].tobytes() == w[d : d + n].tobytes()
+            mask = np.asarray(ex.rationale[:n]) > 0
+            hits += int((mask & (w[d : d + n] > 0)).sum())
+            marked += int(mask.sum())
+        assert marked > 0
+        assert evaluate_model(params, config, dataset).s_acc["decision"] == 100.0 * hits / marked
 
     def test_matches_uniform_perturbation_differences(self):
         # G_i approximates d(logit)/d(eps) when all of row i moves by eps

@@ -327,27 +327,25 @@ class TestBatchedQueryTower:
 class TestPredict:
     @staticmethod
     def predict_at(logit):
-        """predict_batch on a model whose logit is the constant `logit`."""
+        """predict_batch's label on a model whose logit is the constant `logit`."""
         config = ModelConfig(vocab_size=10, embed_dim=4, max_len=5)
         params = ModelParams(config, seed=0)
         params.out_weight.values[...] = 0.0
         params.out_bias.values[...] = logit
-        probs, labels = predict_batch(params, config, [example([3, 4, 5])])
-        return float(probs[0]), int(labels[0])
+        return int(predict_batch(params, config, [example([3, 4, 5])])[0])
 
     def test_boundary_at_zero(self):
-        assert self.predict_at(0.0) == (0.5, 1)
+        assert self.predict_at(0.0) == 1
 
     def test_saturating_positive(self):
-        prob, label = self.predict_at(20.0)
-        assert prob > 0.999 and label == 1
+        assert self.predict_at(20.0) == 1
 
     def test_negative(self):
-        assert self.predict_at(-20.0)[1] == 0
+        assert self.predict_at(-20.0) == 0
 
     def test_far_negative_logit_does_not_overflow(self):
         with np.errstate(over="raise"):
-            assert self.predict_at(-800.0) == (0.0, 0)
+            assert self.predict_at(-800.0) == 0
 
 
 class TestCheckpoint:

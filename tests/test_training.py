@@ -210,7 +210,7 @@ class TestTrainLoop:
         params, _ = train(config, pair, pair, cfg)
         from salign.evaluation import predict_batch
 
-        _, predicted = predict_batch(params, config, pair.examples)
+        predicted = predict_batch(params, config, pair.examples)
         assert predicted.tolist() == [1, 0]
 
     def test_full_batch_descent_is_monotone_without_dropout(self):
