@@ -266,10 +266,7 @@ def cmd_train(run):
     params = ModelParams(config, seed=cfg.seed)
     if run["embeddings"] is not None:
         _require_file(run["embeddings"], "embeddings file")
-        _, table, covered = load_embeddings(
-            run["embeddings"], train_set.vocab, dim=config.embed_dim, seed=cfg.seed
-        )
-        params.embedding.values[...] = table
+        covered = load_embeddings(run["embeddings"], train_set.vocab, params.embedding.values)
         print(f"initialized {covered} embedding rows from file")
     params, log = train(config, train_set, dev_set, cfg, params=params)
     out = Path(run["out"])

@@ -291,14 +291,16 @@ def load_jsonl(path, vocab: Vocabulary | None = None) -> Dataset:
     return Dataset(vocab=vocab, examples=examples, mode="qa" if has_query else "event")
 
 
-def load_embeddings(path, vocab: Vocabulary, dim=None, seed=0):
-    """Initialise an embedding table from a whitespace-separated text file.
+def load_embeddings(path, vocab: Vocabulary, table):
+    """Overwrite rows of an embedding table from a whitespace-separated text file.
 
-    Each line holds a token followed by its vector. Covered vocabulary rows
-    take the file's values, the rest keep the model's default scheme.
-    Returns (dim, table, coverage count). A line with the wrong number of
-    values, a non-numeric or a non-finite value fails with its line number.
+    Each line holds a token followed by table.shape[1] values. The whole file
+    is checked first: a line with the wrong number of values, a non-numeric or
+    a non-finite value fails with its line number and leaves table unchanged.
+    Then each covered vocabulary row takes the file's values in place and the
+    rest keep theirs. Returns the number of covered rows.
     """
+    dim = table.shape[1]
     rows = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -306,8 +308,6 @@ def load_embeddings(path, vocab: Vocabulary, dim=None, seed=0):
             if not parts:
                 continue
             token, vals = parts[0], parts[1:]
-            if dim is None:
-                dim = len(vals)
             if len(vals) != dim:
                 raise ValueError(f"{path} line {lineno}: expected {dim} values, got {len(vals)}")
             try:
@@ -316,17 +316,12 @@ def load_embeddings(path, vocab: Vocabulary, dim=None, seed=0):
                 raise ValueError(f"{path} line {lineno}: non-numeric value") from None
             if not np.isfinite(rows[token]).all():
                 raise ValueError(f"{path} line {lineno}: non-finite value")
-    if dim is None:
-        raise ValueError("empty embeddings file and no dim given")
-    from .model import default_embedding_table
-
-    table = default_embedding_table(len(vocab), dim, np.random.default_rng(seed))
     coverage = 0
     for i, token in enumerate(vocab.tokens):
         if token in rows:
             table[i] = rows[token]
             coverage += 1
-    return dim, table, coverage
+    return coverage
 
 
 def remove_marked(example: Example) -> Example:

@@ -76,10 +76,6 @@ class Tensor:
         """The value of a one-element tensor as a Python float."""
         return self.values.item()
 
-    def detach(self):
-        """Leaf tensor sharing this tensor's values."""
-        return Tensor(self.values)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, values={self.values!r})"
 
@@ -168,5 +164,5 @@ def grad(root, targets, create_graph=False):
         gt = grads.get(id(t))
         if gt is None:
             gt = Tensor(np.zeros(t.shape))
-        out[t] = gt if create_graph else gt.detach()
+        out[t] = gt
     return out

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
+from .data import remove_marked
 from .engine import grad, no_grad, set_grad_enabled
 from .model import LEVELS, encode_batch
 
@@ -179,8 +180,6 @@ def verify_tpr_drop(params, config, positives) -> VerificationReport:
     positives must be labelled 1 with at least one marked token each. When
     the before-rate is zero the relative drop is undefined and flagged.
     """
-    from .data import remove_marked
-
     if not positives:
         raise ValueError("need at least one positive example")
     for ex in positives:

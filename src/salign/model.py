@@ -16,7 +16,6 @@ query encoded alone at its exact length. A single example is a batch of one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,8 @@ from .data import BLANK_ID, MODES, PAD_ID
 from .engine import Tensor
 
 LEVELS = ("word", "intermediate", "decision")
+# the two convolution widths, in checkpoint and forward order
+WINDOWS = (3, 5)
 
 
 @dataclass
@@ -33,7 +34,6 @@ class ModelConfig:
     vocab_size: int
     embed_dim: int = 32
     max_len: int = 40
-    window_sizes: tuple = (3, 5)
     mode: str = "event"
 
     def __post_init__(self):
@@ -41,25 +41,12 @@ class ModelConfig:
             raise ValueError("vocab_size must exceed the reserved ids")
         if self.embed_dim < 1 or self.max_len < 1:
             raise ValueError("embed_dim and max_len must be positive")
-        self.window_sizes = tuple(int(w) for w in self.window_sizes)
-        if not self.window_sizes:
-            raise ValueError("need at least one window size")
-        for w in self.window_sizes:
-            if w < 1 or w % 2 == 0:
-                raise ValueError(f"window sizes must be odd, got {w}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
     @property
     def feature_size(self):
         return self.embed_dim + self.max_len
-
-
-def default_embedding_table(vocab_size, dim, rng):
-    """Default embedding init: small gaussian rows drawn from rng, zero pad row."""
-    table = rng.normal(0.0, 0.1, size=(vocab_size, dim))
-    table[PAD_ID] = 0.0
-    return table
 
 
 class ModelParams:
@@ -69,9 +56,11 @@ class ModelParams:
         self.config = config
         rng = np.random.default_rng(seed)
         d = config.embed_dim
-        self.embedding = Tensor(default_embedding_table(config.vocab_size, d, rng))
+        # small gaussian rows, zero pad row; --embeddings overwrites covered rows
+        self.embedding = Tensor(rng.normal(0.0, 0.1, size=(config.vocab_size, d)))
+        self.embedding.values[PAD_ID] = 0.0
         self.kernels = {}
-        for w in config.window_sizes:
+        for w in WINDOWS:
             k = rng.normal(0.0, np.sqrt(2.0 / (w * d)), size=(w, d, d))
             # nonzero bias init keeps padded positions off the relu/max kinks
             self.kernels[w] = (Tensor(k), Tensor(rng.normal(0.0, 0.1, size=d)))
@@ -82,7 +71,7 @@ class ModelParams:
     def tensors(self):
         """Name -> Tensor, in checkpoint order."""
         out = {"embedding": self.embedding}
-        for w in sorted(self.kernels):
+        for w in WINDOWS:
             kernel, bias = self.kernels[w]
             out[f"conv{w}_kernel"] = kernel
             out[f"conv{w}_bias"] = bias
@@ -107,8 +96,8 @@ class ModelParams:
     def load(cls, path, mode="event"):
         """Rebuild params and a matching config from a checkpoint file.
 
-        The embedding, out_weight and conv kernel shapes fix the config; the
-        file must then hold exactly that model's tensors at their shapes.
+        The embedding and out_weight shapes fix the config; the file must
+        then hold exactly that model's tensors at their shapes.
         Anything else is a ValueError naming the file and the tensor.
         """
         arrays = load_checkpoint(path)
@@ -116,15 +105,11 @@ class ModelParams:
             if name not in arrays or arrays[name].ndim != ndim:
                 raise ValueError(f"checkpoint {path}: tensor {name} missing or not {ndim}-D")
         vocab_size, d = arrays["embedding"].shape
-        windows = sorted(
-            int(m.group(1)) for name in arrays if (m := re.match(r"conv(\d+)_kernel$", name))
-        )
         try:
             config = ModelConfig(
                 vocab_size=vocab_size,
                 embed_dim=d,
                 max_len=arrays["out_weight"].shape[0] - d,
-                window_sizes=tuple(windows),
                 mode=mode,
             )
         except ValueError as exc:
@@ -238,14 +223,8 @@ def _check_query(query, config):
 
 def _conv_stack(x, params):
     """relu(conv) per window, combined with an elementwise max."""
-    outs = []
-    for w in sorted(params.kernels):
-        kernel, bias = params.kernels[w]
-        outs.append(ops.relu(ops.conv1d_same(x, kernel, bias)))
-    combined = outs[0]
-    for other in outs[1:]:
-        combined = ops.maximum(combined, other)
-    return combined
+    narrow, wide = (ops.relu(ops.conv1d_same(x, *params.kernels[w])) for w in WINDOWS)
+    return ops.maximum(narrow, wide)
 
 
 def _query_reprs(queries, params, config):

@@ -285,7 +285,7 @@ class TestMalformedInputs:
         "short": "data section ends inside tensor out_bias",
         "long": "8 bytes of data after the last tensor out_bias",
         "nan": "tensor embedding holds a non-finite value",
-        "no_conv": "its tensor shapes fit no model: need at least one window size",
+        "no_conv": "tensor conv3_kernel is missing in the file but (3, 8, 8) in the model",
     }
 
     @pytest.mark.parametrize("case", CHECKPOINT_CASES)
@@ -318,11 +318,18 @@ class TestMalformedInputs:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "x"])
-    def test_embeddings_exit_1_with_one_line(self, workspace, tmp_path, capsys, value):
-        message = "non-numeric value" if value == "x" else "non-finite value"
+    EMBEDDING_CASES = {  # line 2's values in an 8-wide file, and the error
+        "nan": ("0.5 nan 0 0 0 0 0 0", "non-finite value"),
+        "inf": ("0.5 inf 0 0 0 0 0 0", "non-finite value"),
+        "x": ("0.5 x 0 0 0 0 0 0", "non-numeric value"),
+        "count": ("0.5 0 0 0 0 0 0", "expected 8 values, got 7"),
+    }
+
+    @pytest.mark.parametrize("case", EMBEDDING_CASES)
+    def test_embeddings_exit_1_with_one_line(self, workspace, tmp_path, capsys, case):
+        values, message = self.EMBEDDING_CASES[case]
         path = tmp_path / "vecs.txt"
-        path.write_text("w4 " + " ".join(["0.5"] * 8) + "\nw5 0.5 " + value + " 0 0 0 0 0 0\n")
+        path.write_text("w4 " + " ".join(["0.5"] * 8) + "\nw5 " + values + "\n")
         assert run_cli("train", "--train", str(workspace / "train.jsonl"),
                        "--dev", str(workspace / "dev.jsonl"), "--max-len", "8", "--embed-dim", "8",
                        "--embeddings", str(path), "--out", str(tmp_path / "run")) == 1

@@ -16,6 +16,7 @@ from salign.data import (
     remove_marked,
     save_jsonl,
 )
+from salign.model import ModelConfig, ModelParams
 
 
 class TestExample:
@@ -243,33 +244,59 @@ class TestLoadEmbeddings:
     def test_empty_file_all_defaults(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("")
-        vocab = Vocabulary.synthetic(5)
-        d, table, coverage = load_embeddings(path, vocab, dim=3)
-        assert (d, coverage) == (3, 0)
-        assert table.shape == (5, 3)
+        table = np.ones((5, 3))
+        assert load_embeddings(path, Vocabulary.synthetic(5), table) == 0
+        np.testing.assert_array_equal(table, np.ones((5, 3)))
 
     def test_full_coverage_with_zeros(self, tmp_path):
         vocab = Vocabulary.synthetic(5)
         path = tmp_path / "vecs.txt"
         path.write_text("".join(f"{t} 0 0\n" for t in vocab.tokens))
-        d, table, coverage = load_embeddings(path, vocab)
-        assert (d, coverage) == (2, 5)
+        table = np.ones((5, 2))
+        assert load_embeddings(path, vocab, table) == 5
         np.testing.assert_array_equal(table, np.zeros((5, 2)))
 
     def test_partial_coverage_counts(self, tmp_path):
         vocab = Vocabulary(["<pad>", "<unk>", "<blank>", "aa", "bb", "cc"])
         path = tmp_path / "vecs.txt"
         path.write_text("aa 1 2\ncc 3 4\nzz 5 6\n")
-        d, table, coverage = load_embeddings(path, vocab)
-        assert coverage == 2
+        table = np.full((6, 2), -1.0)
+        assert load_embeddings(path, vocab, table) == 2
         np.testing.assert_array_equal(table[3], [1, 2])
         np.testing.assert_array_equal(table[5], [3, 4])
+        np.testing.assert_array_equal(table[[0, 1, 2, 4]], np.full((4, 2), -1.0))
 
     def test_inconsistent_dimension_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("aa 1 2\nbb 1\n")
-        with pytest.raises(ValueError, match="line 2"):
-            load_embeddings(path, Vocabulary.synthetic(5))
+        with pytest.raises(ValueError, match="line 2: expected 2 values, got 1"):
+            load_embeddings(path, Vocabulary.synthetic(5), np.zeros((5, 2)))
+
+    def test_width_comes_from_the_table(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("w3 1 2 3\n")
+        with pytest.raises(ValueError, match="line 1: expected 2 values, got 3"):
+            load_embeddings(path, Vocabulary.synthetic(5), np.zeros((5, 2)))
+
+    def test_malformed_second_line_leaves_table_unchanged(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("w3 1 2\nw4 1 x\n")
+        table = np.full((5, 2), 7.0)
+        with pytest.raises(ValueError, match="line 2: non-numeric value"):
+            load_embeddings(path, Vocabulary.synthetic(5), table)
+        np.testing.assert_array_equal(table, np.full((5, 2), 7.0))
+
+    def test_overwrites_covered_rows_of_the_seeded_model_table(self, tmp_path):
+        vocab = Vocabulary.synthetic(8)
+        config = ModelConfig(vocab_size=8, embed_dim=3, max_len=4)
+        params = ModelParams(config, seed=5)
+        path = tmp_path / "vecs.txt"
+        path.write_text("w4 1 2 3\nw6 4 5 6\nzz 7 8 9\n")
+        assert load_embeddings(path, vocab, params.embedding.values) == 2
+        expected = ModelParams(config, seed=5).embedding.values.copy()
+        expected[4] = [1, 2, 3]
+        expected[6] = [4, 5, 6]
+        np.testing.assert_array_equal(params.embedding.values, expected)
 
 
 class TestRemoveMarked:

@@ -6,8 +6,10 @@
 # Writes everything under OUT: the three synthetic splits, a lambda 0 and a
 # lambda 0.5 (all levels) checkpoint with their train logs, eval metrics and
 # verification reports for both, the compare report, the heatmaps of
-# `saliency --baseline-checkpoint`, and in OUT/log.txt every command with its
-# printed text and any nonzero exit code. Runs at one BLAS thread and writes
+# `saliency --baseline-checkpoint`, a second lambda 0.5 checkpoint in OUT/emb
+# whose training starts from OUT/vectors.txt (16 values for every other token
+# of base/vocab.txt, written by awk), and in OUT/log.txt every command with
+# its printed text and any nonzero exit code. Runs at one BLAS thread and writes
 # no bytecode into TREE. Run it for two trees and `diff -r` the two OUT
 # directories to check that a change leaves the CLI's results byte-identical.
 set -eu
@@ -39,6 +41,11 @@ salign synth $corpus --count 300 --seed 3 --out test.jsonl
 train="train --train train.jsonl --dev dev.jsonl --max-len 12 --embed-dim 16 --epochs 8"
 salign $train --lr 0.005 --seed 4 --lambda 0 --out base
 salign $train --lr 0.005 --seed 4 --lambda 0.5 --levels word,intermediate,decision --out sal
+awk 'NR % 2 { printf "%s", $1
+    for (i = 1; i <= 16; i++) printf " %.4f", (NR * 7 + i * 13) % 97 / 97 - 0.5
+    print "" }' base/vocab.txt > vectors.txt
+salign $train --lr 0.005 --seed 4 --lambda 0.5 --levels word,intermediate,decision \
+    --embeddings vectors.txt --out emb
 for run in base sal; do
     salign eval --checkpoint $run/checkpoint.bin --data test.jsonl --out $run/metrics.txt
     salign verify --checkpoint $run/checkpoint.bin --data test.jsonl --out $run/verification.txt
