@@ -178,13 +178,31 @@ def _require_file(path, what):
     return path
 
 
+def _own_vocab(checkpoint):
+    """The vocab.txt beside a checkpoint."""
+    path = str(Path(checkpoint).with_name("vocab.txt"))
+    return Vocabulary.load(_require_file(path, "vocabulary"))
+
+
 def _load_model(checkpoint, vocab_path):
     _require_file(checkpoint, "checkpoint")
     if vocab_path is None:
-        vocab_path = str(Path(checkpoint).with_name("vocab.txt"))
-    vocab = Vocabulary.load(_require_file(vocab_path, "vocabulary"))
+        vocab = _own_vocab(checkpoint)
+    else:
+        vocab = Vocabulary.load(_require_file(vocab_path, "vocabulary"))
     params, config = _load_checkpoint(checkpoint, vocab)
     return params, config, vocab
+
+
+def _load_second(checkpoint, vocab, vocab_path, mode):
+    """The second model of compare or saliency, read with the first one's
+    vocabulary. Without --vocab, its own vocab.txt must equal that one."""
+    loaded = _load_checkpoint(checkpoint, vocab, mode)
+    if vocab_path is None and _own_vocab(checkpoint).tokens != vocab.tokens:
+        raise ValueError(
+            f"checkpoint {checkpoint}: its vocab.txt differs from the first checkpoint's"
+        )
+    return loaded
 
 
 def _load_checkpoint(checkpoint, vocab, mode="event"):
@@ -294,7 +312,7 @@ def cmd_saliency(run):
     dataset, config = _dataset_for(config, run["data"], vocab)
     baseline = None
     if run["baseline_checkpoint"]:
-        baseline = _load_checkpoint(run["baseline_checkpoint"], vocab, config.mode)
+        baseline = _load_second(run["baseline_checkpoint"], vocab, run["vocab"], config.mode)
     out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
     examples = dataset.examples[: run["limit"]]
@@ -344,7 +362,7 @@ def cmd_compare(run):
     _require_file(run["data"], "dataset")
     params_a, config_a, vocab = _load_model(run["checkpoint_a"], run["vocab"])
     dataset, config_a = _dataset_for(config_a, run["data"], vocab)
-    params_b, config_b = _load_checkpoint(run["checkpoint_b"], vocab, dataset.mode)
+    params_b, config_b = _load_second(run["checkpoint_b"], vocab, run["vocab"], dataset.mode)
     labels = np.array(dataset.labels())
     pred_a = predict_batch(params_a, config_a, dataset.examples)
     pred_b = predict_batch(params_b, config_b, dataset.examples)

@@ -7,6 +7,11 @@ to the active :class:`~salign.engine.Graph`, if any. Nonsmooth ops (relu,
 maximum, max-pooling) freeze their routing pattern at forward time, so
 their second derivative is zero almost everywhere.
 
+conv1d_same is one node that keeps only its output: its backward rebuilds
+the zero-padded windows of its input with shift_rows and concat_last
+rather than keeping them from the forward (recompute instead of retain),
+since a double backward holds every forward value until it ends.
+
 add and mul broadcast an operand whose shape is a trailing suffix of the
 other's (a scalar is the empty suffix); every other shape change goes
 through an explicit op (sum_axes/expand_axes, concat/take/put, reshape).
@@ -244,6 +249,18 @@ def concat_last(*parts):
     return _node("concat_last", np.concatenate([p.values for p in parts], axis=-1), parts, vjp)
 
 
+def _shifted(v, s):
+    """A copy of v with its rows (axis -2) moved by s, vacated rows zero."""
+    out = np.zeros(v.shape)
+    if s == 0:
+        out[...] = v
+    elif s > 0:
+        out[..., s:, :] = v[..., :-s, :]
+    else:
+        out[..., :s, :] = v[..., -s:, :]
+    return out
+
+
 def shift_rows(a, offset):
     """Shift rows (axis -2) by offset, filling vacated rows with zeros."""
     a = _as_tensor(a)
@@ -251,18 +268,10 @@ def shift_rows(a, offset):
     if a.ndim < 2:
         raise ValueError("shift_rows needs ndim >= 2")
 
-    out = np.zeros(a.shape)
-    if s == 0:
-        out[...] = a.values
-    elif s > 0:
-        out[..., s:, :] = a.values[..., :-s, :]
-    else:
-        out[..., :s, :] = a.values[..., -s:, :]
-
     def vjp(g, needs):
         return (shift_rows(g, -s),)
 
-    return _node("shift_rows", out, (a,), vjp)
+    return _node("shift_rows", _shifted(a.values, s), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +289,6 @@ def matmul2d(a, b):
         return da, db
 
     return _node("matmul2d", a.values @ b.values, (a, b), vjp)
-
-
-def matmul_last(x, m):
-    """(…, n, p) @ (p, q) -> (…, n, q), composed from reshape + matmul2d."""
-    x, m = _as_tensor(x), _as_tensor(m)
-    lead = x.shape[:-1]
-    flat = reshape(x, (int(np.prod(lead, dtype=np.int64)) if lead else 1, x.shape[-1]))
-    out = matmul2d(flat, m)
-    return reshape(out, lead + (m.shape[-1],))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,10 @@ def conv1d_same(x, kernel, bias):
 
     x: (…, n, d_in); kernel: (w, d_in, d_out) with odd w; bias: (d_out,).
     Output position i is the affine map of the zero-padded width-w window
-    centered at i. Composed from shift/concat/matmul, so it is
+    centered at i. One node that keeps only its output: the (…, n, w·d_in)
+    window tensor is dropped after the forward, and the backward rebuilds it
+    from x only when the kernel's gradient is needed. The VJP is written
+    with shift_rows, concat_last, take and matmul2d, so the conv is
     differentiable to second order like every other op here.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
@@ -399,9 +402,29 @@ def conv1d_same(x, kernel, bias):
     if bias.shape != (d_out,):
         raise ValueError(f"conv1d_same: bias {bias.shape} vs d_out {d_out}")
     half = w // 2
-    windows = concat_last(*[shift_rows(x, half - t) for t in range(w)])
-    flat_kernel = reshape(kernel, (w * d_in, d_out))
-    return add(matmul_last(windows, flat_kernel), bias)
+    lead = x.shape[:-1]
+    rows = int(np.prod(lead, dtype=np.int64))
+    windows = np.concatenate([_shifted(x.values, half - t) for t in range(w)], axis=-1)
+    flat = windows.reshape(rows, w * d_in) @ kernel.values.reshape(w * d_in, d_out)
+
+    def vjp(g, needs):
+        g_flat = reshape(g, (rows, d_out))
+        dx = dk = db = None
+        if needs[0]:
+            flat_kernel = reshape(kernel, (w * d_in, d_out))
+            g_windows = reshape(matmul2d(g_flat, transpose2d(flat_kernel)), lead + (w * d_in,))
+            for t in range(w):
+                part = shift_rows(take(g_windows, (..., slice(t * d_in, (t + 1) * d_in))), t - half)
+                dx = part if dx is None else add(dx, part)
+        if needs[1]:
+            x_windows = concat_last(*[shift_rows(x, half - t) for t in range(w)])
+            dk = matmul2d(transpose2d(reshape(x_windows, (rows, w * d_in))), g_flat)
+            dk = reshape(dk, kernel.shape)
+        if needs[2]:
+            db = sum_axes(g, range(g.ndim - 1))
+        return dx, dk, db
+
+    return _node("conv1d_same", flat.reshape(lead + (d_out,)) + bias.values, (x, kernel, bias), vjp)
 
 
 # Arithmetic sugar on Tensor.

@@ -8,7 +8,11 @@ import pytest
 
 from salign import Tensor, Graph, grad, no_grad, finite_diff_check, finite_diff_check_many
 from salign import ops
+from salign.data import SynthConfig, gen_synthetic
 from salign.gradcheck import pool_margin, relu_margin, resample_until_smooth
+from salign.loss import SaliencyConfig
+from salign.model import LEVELS, ModelConfig, ModelParams
+from salign.training import TrainConfig, _batch_cost
 
 
 def conv1d_loop_oracle(x, kernel, bias):
@@ -27,6 +31,19 @@ def conv1d_loop_oracle(x, kernel, bias):
                         acc += x[j, c] * kernel[t, c, o]
             out[i, o] = acc
     return out
+
+
+def conv1d_composite(x, kernel, bias):
+    """The conv composed from other ops: w shifted copies of x, one
+    concat_last, one matmul2d with the reshaped kernel, then the bias. The
+    single conv1d_same node must reproduce its arithmetic."""
+    w, d_in, d_out = kernel.shape
+    half = w // 2
+    windows = ops.concat_last(*[ops.shift_rows(x, half - t) for t in range(w)])
+    lead = x.shape[:-1]
+    flat = ops.reshape(windows, (int(np.prod(lead)), w * d_in))
+    out = ops.matmul2d(flat, ops.reshape(kernel, (w * d_in, d_out)))
+    return ops.add(ops.reshape(out, lead + (d_out,)), bias)
 
 
 class TestBackwardContract:
@@ -210,6 +227,51 @@ class TestConv1dSame:
 
         x = Tensor(rng.normal(size=(5, 2)))
         assert finite_diff_check(f, x, eps=1e-4) < 1e-5
+
+
+class TestConvNode:
+    """conv1d_same is one node; it must compute what the composite does."""
+
+    @pytest.mark.parametrize("w", [3, 5])
+    def test_forward_bit_identical_to_composite(self, w):
+        rng = np.random.default_rng(w)
+        x, kernel, bias = (Tensor(rng.normal(size=s)) for s in [(4, 7, 3), (w, 3, 2), (2,)])
+        with Graph() as graph:
+            out = ops.conv1d_same(x, kernel, bias)
+        assert [t.op for t in graph.nodes] == ["conv1d_same"]
+        assert out.values.tobytes() == conv1d_composite(x, kernel, bias).values.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("strength", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_batch_cost_matches_composite(self, monkeypatch, mode, strength, seed):
+        """The training cost and its parameter gradients, with the single
+        node and with the composite. The forward is bit-identical, so the
+        lambda 0 cost is too. The gradient with respect to x sums each
+        conv's w parts before the engine adds the two convs, where the
+        composite added all parts one by one, so the word-level gradient,
+        hence the penalty and every gradient behind it, may differ in the
+        last bits."""
+        ds = gen_synthetic(SynthConfig(count=20, vocab_size=40, trigger_count=3, min_len=4,
+                                       max_len=10, seed=5 + seed, mode=mode))
+        config = ModelConfig(vocab_size=40, embed_dim=8, max_len=9, mode=mode)
+        params = ModelParams(config, seed=3 + seed)
+        cfg = TrainConfig(dropout=0.0, saliency=SaliencyConfig(strength=strength, levels=LEVELS))
+        named = params.tensors()
+
+        def cost_and_grads():
+            cost, _, _ = _batch_cost(ds.examples, params, config, cfg, None)
+            grads = grad(cost, list(named.values()))
+            return cost.item(), {name: grads[t].values for name, t in named.items()}
+
+        cost, grads = cost_and_grads()
+        monkeypatch.setattr(ops, "conv1d_same", conv1d_composite)
+        ref_cost, ref_grads = cost_and_grads()
+        if strength == 0.0:
+            assert cost == ref_cost
+        assert abs(cost - ref_cost) <= 1e-15 * abs(ref_cost)
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-15 * np.abs(ref).max(), name
 
 
 class TestMaxPool:
@@ -589,7 +651,6 @@ OP_CASES = {
         f"by{s}": (lambda x, s=s: ops.shift_rows(x, s), normal((2, 5, 3))) for s in (-1, 0, 2)
     },
     "matmul2d": {"": (ops.matmul2d, normal((3, 4), (4, 2)))},
-    "matmul_last": {"": (ops.matmul_last, normal(SHAPE, (4, 2)))},
     "gather_rows": {"": (lambda t: ops.gather_rows(t, IDS), normal((4, 3)))},
     "scatter_rows": {"": (lambda x: ops.scatter_rows(x, IDS, 4), normal((2, 2, 3)))},
     "maxpool_axis": {
@@ -597,7 +658,10 @@ OP_CASES = {
         "last": (lambda x: ops.maxpool_axis(x, axis=-1), spread((3, 4, 5))),
         "masked": (masked_pool, spread((3, 4, 5))),
     },
-    "conv1d_same": {"": (ops.conv1d_same, normal((5, 3), (3, 3, 2), (2,)))},
+    "conv1d_same": {
+        "": (ops.conv1d_same, normal((5, 3), (3, 3, 2), (2,))),
+        "batched_w5": (ops.conv1d_same, normal((2, 6, 3), (5, 3, 2), (2,))),
+    },
 }
 CASES = [(op, label) for op, cases in OP_CASES.items() for label in cases]
 CASE_IDS = [f"{op}-{label}" if label else op for op, label in CASES]

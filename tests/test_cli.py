@@ -318,6 +318,32 @@ class TestMalformedInputs:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("command,first,second", [
+        ("compare", "--checkpoint-a", "--checkpoint-b"),
+        ("saliency", "--checkpoint", "--baseline-checkpoint"),
+    ])
+    def test_second_vocabulary_mismatch_exits_1_with_one_line(self, workspace, tmp_path, capsys,
+                                                              command, first, second):
+        # the same tokens in another order: row counts agree, rows do not
+        tokens = (workspace / "sal/vocab.txt").read_text().splitlines()
+        tokens[3], tokens[4] = tokens[4], tokens[3]
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "vocab.txt").write_text("\n".join(tokens) + "\n")
+        (other / "checkpoint.bin").write_bytes((workspace / "sal/checkpoint.bin").read_bytes())
+        args = [command, first, str(workspace / "base/checkpoint.bin"),
+                second, str(other / "checkpoint.bin"), "--data", str(workspace / "test.jsonl"),
+                "--out", str(tmp_path / "out")]
+        assert run_cli(*args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: checkpoint {other / 'checkpoint.bin'}: its vocab.txt differs from the "
+            "first checkpoint's"
+        ]
+        # a --vocab names the one vocabulary both models are read with
+        assert run_cli(*args, "--vocab", str(workspace / "base/vocab.txt")) == 0
+
     EMBEDDING_CASES = {  # line 2's values in an 8-wide file, and the error
         "nan": ("0.5 nan 0 0 0 0 0 0", "non-finite value"),
         "inf": ("0.5 inf 0 0 0 0 0 0", "non-finite value"),

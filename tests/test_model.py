@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from salign import Graph, Tensor, grad, ops
-from salign.data import Example
+from salign.data import Example, SynthConfig, gen_synthetic
 from salign.evaluation import predict_batch
 from salign.model import (
     LEVELS,
@@ -240,6 +240,23 @@ class TestBatchedEncode:
         config = ModelConfig(vocab_size=25, embed_dim=6, max_len=9)
         with pytest.raises(ValueError):
             encode_batch([], ModelParams(config, seed=0), config)
+
+
+class TestForwardMemory:
+    def test_nodes_own_no_window_copies(self):
+        """Each conv is one node that keeps only its output: a 64-example
+        event forward holds no shifted copy of its input, and the arrays
+        its nodes own add up to at most 8 of shape (B, n, d). The conv
+        composed from shift_rows and concat_last kept about 24."""
+        ds = gen_synthetic(SynthConfig(count=64, vocab_size=100, trigger_count=5, min_len=6,
+                                       max_len=14, seed=1))
+        config = ModelConfig(vocab_size=len(ds.vocab), embed_dim=16, max_len=12)
+        params = ModelParams(config, seed=0)
+        with Graph() as graph:
+            encode_batch(ds.examples, params, config)
+        assert "shift_rows" not in {t.op for t in graph.nodes}
+        owned = sum(t.values.nbytes for t in graph.nodes if t.values.base is None)
+        assert owned <= 8 * np.zeros((64, 12, 16)).nbytes
 
 
 class TestBatchedQueryTower:
