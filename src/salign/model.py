@@ -53,7 +53,6 @@ class ModelParams:
     """All trainable tensors, keyed by stable names for checkpoints."""
 
     def __init__(self, config: ModelConfig, seed=0):
-        self.config = config
         rng = np.random.default_rng(seed)
         d = config.embed_dim
         # small gaussian rows, zero pad row; --embeddings overwrites covered rows

@@ -7,10 +7,11 @@ to the active :class:`~salign.engine.Graph`, if any. Nonsmooth ops (relu,
 maximum, max-pooling) freeze their routing pattern at forward time, so
 their second derivative is zero almost everywhere.
 
-conv1d_same is one node that keeps only its output: its backward rebuilds
-the zero-padded windows of its input with shift_rows and concat_last
-rather than keeping them from the forward (recompute instead of retain),
-since a double backward holds every forward value until it ends.
+conv1d_same is one node that keeps only its output: for its kernel's
+gradient, its backward rebuilds the zero-padded windows of its input with
+shift_rows and concat_last rather than keeping them from the forward
+(recompute instead of retain), since a double backward holds every forward
+value until it ends. Its input's gradient is the conv itself.
 
 add and mul broadcast an operand whose shape is a trailing suffix of the
 other's (a scalar is the empty suffix); every other shape change goes
@@ -387,9 +388,9 @@ def conv1d_same(x, kernel, bias):
     Output position i is the affine map of the zero-padded width-w window
     centered at i. One node that keeps only its output: the (…, n, w·d_in)
     window tensor is dropped after the forward, and the backward rebuilds it
-    from x only when the kernel's gradient is needed. The VJP is written
-    with shift_rows, concat_last, take and matmul2d, so the conv is
-    differentiable to second order like every other op here.
+    from x only when the kernel's gradient is needed. The input's gradient
+    is the conv of g with the flipped, transposed kernel, and the VJP is
+    built from ops here, so the conv is differentiable to second order.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if kernel.ndim != 3:
@@ -408,16 +409,14 @@ def conv1d_same(x, kernel, bias):
     flat = windows.reshape(rows, w * d_in) @ kernel.values.reshape(w * d_in, d_out)
 
     def vjp(g, needs):
-        g_flat = reshape(g, (rows, d_out))
         dx = dk = db = None
         if needs[0]:
-            flat_kernel = reshape(kernel, (w * d_in, d_out))
-            g_windows = reshape(matmul2d(g_flat, transpose2d(flat_kernel)), lead + (w * d_in,))
-            for t in range(w):
-                part = shift_rows(take(g_windows, (..., slice(t * d_in, (t + 1) * d_in))), t - half)
-                dx = part if dx is None else add(dx, part)
+            # the conv of g with the flipped, transposed kernel K'[t, o, i] = K[w-1-t, i, o]
+            flip = (np.arange(w)[::-1][:, None, None], np.arange(d_in), np.arange(d_out)[:, None])
+            dx = conv1d_same(g, take(kernel, flip), np.zeros(d_in))
         if needs[1]:
             x_windows = concat_last(*[shift_rows(x, half - t) for t in range(w)])
+            g_flat = reshape(g, (rows, d_out))
             dk = matmul2d(transpose2d(reshape(x_windows, (rows, w * d_in))), g_flat)
             dk = reshape(dk, kernel.shape)
         if needs[2]:

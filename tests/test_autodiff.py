@@ -241,17 +241,29 @@ class TestConvNode:
         assert [t.op for t in graph.nodes] == ["conv1d_same"]
         assert out.values.tobytes() == conv1d_composite(x, kernel, bias).values.tobytes()
 
+    def test_input_gradient_is_one_conv(self):
+        """The gradient with respect to x alone is the conv of the upstream
+        gradient with the flipped, transposed kernel: one take of the kernel
+        and one conv1d_same node (after sum_axes' own expand_axes)."""
+        rng = np.random.default_rng(0)
+        x, kernel, bias = (Tensor(rng.normal(size=s)) for s in [(4, 7, 3), (5, 3, 2), (2,)])
+        root = ops.sum_axes(ops.conv1d_same(x, kernel, bias))
+        with Graph() as graph:
+            grad(root, [x], create_graph=True)
+        assert [t.op for t in graph.nodes] == ["expand_axes", "take", "conv1d_same"]
+        np.testing.assert_array_equal(graph.nodes[1].values, kernel.values[::-1].transpose(0, 2, 1))
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("strength", [0.0, 0.5])
     @pytest.mark.parametrize("mode", ["event", "qa"])
     def test_batch_cost_matches_composite(self, monkeypatch, mode, strength, seed):
         """The training cost and its parameter gradients, with the single
         node and with the composite. The forward is bit-identical, so the
-        lambda 0 cost is too. The gradient with respect to x sums each
-        conv's w parts before the engine adds the two convs, where the
-        composite added all parts one by one, so the word-level gradient,
-        hence the penalty and every gradient behind it, may differ in the
-        last bits."""
+        lambda 0 cost is too. The gradient with respect to x is one conv
+        with the flipped, transposed kernel, which sums all w taps in one
+        matmul, where the composite added the taps' parts one by one, so
+        the word-level gradient, hence the penalty and every gradient behind
+        it, may differ in the last bits."""
         ds = gen_synthetic(SynthConfig(count=20, vocab_size=40, trigger_count=3, min_len=4,
                                        max_len=10, seed=5 + seed, mode=mode))
         config = ModelConfig(vocab_size=40, embed_dim=8, max_len=9, mode=mode)
@@ -603,6 +615,8 @@ IDS = np.array([[0, 2], [2, 2]])
 PICKS = np.array([[0, 3, 1, 3, 2], [2, 2, 0, 1, 3], [1, 0, 3, 3, 0]])
 # one index per (row, column) group along axis 1 of a (3, 4, 5) tensor
 GROUPS = (np.arange(3)[:, None], PICKS, np.arange(5)[None, :])
+# conv1d_same's key for its input gradient: K'[t, o, i] = K[w-1-t, i, o] of a (3, 2, 4) kernel
+CONV_FLIP = (np.arange(3)[::-1][:, None, None], np.arange(2), np.arange(4)[:, None])
 
 # op name -> {case label: (function of the input tensors, input draw)}
 OP_CASES = {
@@ -642,6 +656,7 @@ OP_CASES = {
     "take": {
         "slice": (lambda x: ops.take(x, (..., slice(1, 4))), normal((2, 5))),
         "groups": (lambda x: ops.take(x, GROUPS), normal((3, 4, 5))),
+        "conv_flip": (lambda x: ops.take(x, CONV_FLIP), normal((3, 2, 4))),
     },
     "put": {
         "slice": (lambda x: ops.put(x, (..., slice(1, 4)), (2, 6)), normal((2, 3))),
