@@ -15,7 +15,9 @@ from .engine import grad, no_grad, set_grad_enabled
 from .model import LEVELS, encode_batch
 
 # examples per batched pass, a forward alone or a forward and its backward;
-# a chunk's graph is the largest allocation eval and saliency make
+# a chunk's graph is the largest allocation eval, verify, compare and
+# saliency make, and one chunk's graph at most is alive. Past the chunks,
+# eval keeps two counts per level and saliency each example's scores.
 SALIENCY_CHUNK = 64
 
 
@@ -71,15 +73,20 @@ def saliency_accuracy(G, Z):
     Returns None (skip signal) when the mask marks nothing; a marked
     gradient of exactly zero counts as a failure.
     """
+    return _percent(*_alignment_counts(G, Z))
+
+
+def _alignment_counts(G, Z):
+    """(marked positions whose gradient is strictly positive, marked positions)."""
     G = np.asarray(G, dtype=np.float64)
     Z = np.asarray(Z)
     if G.shape != Z.shape:
         raise ValueError("gradient and mask must have equal length")
-    marked = int(Z.sum())
-    if marked == 0:
-        return None
-    hits = int(((Z > 0) & (G > 0)).sum())
-    return 100.0 * hits / marked
+    return int(((Z > 0) & (G > 0)).sum()), int(Z.sum())
+
+
+def _percent(hits, marked):
+    return None if marked == 0 else 100.0 * hits / marked
 
 
 def predict_batch(params, config, examples):
@@ -88,17 +95,51 @@ def predict_batch(params, config, examples):
     return saliency_scores(params, config, examples, levels=())[1]
 
 
-def trace_scores(trace, examples, levels, max_len):
-    """Per-token score gradients of a batched trace's examples from one
-    backward pass: one dict per example mapping level -> array over its true
-    (unpadded, possibly truncated) token positions."""
+def _level_sums(trace, levels):
+    """Per level, a batched trace's (B, n) score gradient from one backward
+    pass, summed over the embedding axis where the level has one."""
     targets = [trace.level_tensor(level) for level in levels]
     grads = grad(ops.sum_axes(trace.logit), targets) if targets else {}
-    sums = [grads[t].values.sum(axis=-1) if t.ndim == 3 else grads[t].values for t in targets]
+    return [grads[t].values.sum(axis=-1) if t.ndim == 3 else grads[t].values for t in targets]
+
+
+def _per_example(sums, examples, levels, max_len):
+    """One dict per example mapping level -> its row of sums over the
+    example's true (unpadded, possibly truncated) token positions."""
     return [
         {level: g[row, : min(len(ex.tokens), max_len)].copy() for level, g in zip(levels, sums)}
         for row, ex in enumerate(examples)
     ]
+
+
+def trace_scores(trace, examples, levels, max_len):
+    """Per-token score gradients of a batched trace's examples from one
+    backward pass: one dict per example mapping level -> array over its true
+    (unpadded, possibly truncated) token positions."""
+    return _per_example(_level_sums(trace, levels), examples, levels, max_len)
+
+
+def _scored_chunks(params, config, examples, levels):
+    """One batched forward, and with levels its backward, per SALIENCY_CHUNK
+    examples, dropout off; with no levels, the forward builds no graph.
+
+    Yields (examples, logits, _level_sums) per chunk. Each chunk's graph is
+    freed before the chunk is yielded, so one graph at most is alive.
+    """
+    for lo in range(0, len(examples), SALIENCY_CHUNK):
+        part = examples[lo : lo + SALIENCY_CHUNK]
+        with set_grad_enabled(bool(levels)):
+            trace = encode_batch(part, params, config)
+        logits, sums = np.atleast_1d(trace.logit.values), _level_sums(trace, levels)
+        del trace
+        yield part, logits, sums
+
+
+def _labels(logits):
+    """sigmoid(logit) >= 0.5 over every chunk's logits, in order."""
+    with no_grad():
+        probs = ops.sigmoid(np.concatenate(logits)).values if logits else np.zeros(0)
+    return (probs >= 0.5).astype(np.int64)
 
 
 def saliency_scores(params, config, examples, levels=LEVELS):
@@ -111,16 +152,10 @@ def saliency_scores(params, config, examples, levels=LEVELS):
     """
     out, logits = [], []
     levels = tuple(levels)
-    for lo in range(0, len(examples), SALIENCY_CHUNK):
-        part = examples[lo : lo + SALIENCY_CHUNK]
-        with set_grad_enabled(bool(levels)):
-            trace = encode_batch(part, params, config)
-        logits.append(np.atleast_1d(trace.logit.values))
-        out += trace_scores(trace, part, levels, config.max_len)
-        del trace  # free this chunk's graph before the next one is built
-    with no_grad():
-        probs = ops.sigmoid(np.concatenate(logits)).values if logits else np.zeros(0)
-    return out, (probs >= 0.5).astype(np.int64)
+    for part, chunk_logits, sums in _scored_chunks(params, config, examples, levels):
+        logits.append(chunk_logits)
+        out += _per_example(sums, part, levels, config.max_len)
+    return out, _labels(logits)
 
 
 def evaluate_model(params, config, dataset, levels=LEVELS) -> MetricsReport:
@@ -130,17 +165,25 @@ def evaluate_model(params, config, dataset, levels=LEVELS) -> MetricsReport:
     Alignment accuracy is micro-aggregated: saliency_accuracy over the
     dataset's concatenated (truncated) masks and scores, so examples with an
     all-zero mask contribute nothing; a level is None when nothing is marked.
-    The logit is affine in the decision level, whose gradient at position i is
-    out_weight[embed_dim + i] for any input: decision s_acc reads the head alone.
+    Each chunk's scores are reduced to hit and marked counts as soon as it is
+    scored. The logit is affine in the decision level, whose gradient at
+    position i is out_weight[embed_dim + i] for any input: decision s_acc
+    reads the head alone.
     """
     examples = dataset.examples
-    scored, predicted = saliency_scores(params, config, examples, levels)
-    report = classification_metrics(predicted.tolist(), [ex.label for ex in examples])
-    mask = np.concatenate([ex.rationale[: config.max_len] for ex in examples])
-    report.s_acc = {
-        level: saliency_accuracy(np.concatenate([g[level] for g in scored]), mask)
-        for level in levels
-    }
+    levels = tuple(levels)
+    counts = {level: np.zeros(2, dtype=np.int64) for level in levels}  # hits, marked
+    logits = []
+    for part, chunk_logits, sums in _scored_chunks(params, config, examples, levels):
+        logits.append(chunk_logits)
+        mask = np.zeros((len(part), config.max_len), dtype=np.int64)  # padding is unmarked
+        for row, ex in enumerate(part):
+            marked = ex.rationale[: config.max_len]
+            mask[row, : len(marked)] = marked
+        for level, g in zip(levels, sums):
+            counts[level] += _alignment_counts(g, mask)
+    report = classification_metrics(_labels(logits).tolist(), [ex.label for ex in examples])
+    report.s_acc = {level: _percent(*counts[level].tolist()) for level in levels}
     return report
 
 

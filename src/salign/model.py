@@ -49,23 +49,42 @@ class ModelConfig:
         return self.embed_dim + self.max_len
 
 
+def _initial_draws(config):
+    """Name -> (shape, standard deviation of its gaussian draw), in checkpoint
+    and draw order; a deviation of 0 means the tensor starts at zero."""
+    d, p = config.embed_dim, config.feature_size
+    draws = {"embedding": ((config.vocab_size, d), 0.1)}
+    for w in WINDOWS:
+        draws[f"conv{w}_kernel"] = ((w, d, d), np.sqrt(2.0 / (w * d)))
+        # nonzero bias init keeps padded positions off the relu/max kinks
+        draws[f"conv{w}_bias"] = ((d,), 0.1)
+    draws["out_weight"] = ((p,), np.sqrt(1.0 / p))
+    draws["out_bias"] = ((1,), 0.0)
+    return draws
+
+
 class ModelParams:
     """All trainable tensors, keyed by stable names for checkpoints."""
 
     def __init__(self, config: ModelConfig, seed=0):
         rng = np.random.default_rng(seed)
-        d = config.embed_dim
+        values = {
+            name: rng.normal(0.0, std, size=shape) if std else np.zeros(shape)
+            for name, (shape, std) in _initial_draws(config).items()
+        }
         # small gaussian rows, zero pad row; --embeddings overwrites covered rows
-        self.embedding = Tensor(rng.normal(0.0, 0.1, size=(config.vocab_size, d)))
-        self.embedding.values[PAD_ID] = 0.0
-        self.kernels = {}
-        for w in WINDOWS:
-            k = rng.normal(0.0, np.sqrt(2.0 / (w * d)), size=(w, d, d))
-            # nonzero bias init keeps padded positions off the relu/max kinks
-            self.kernels[w] = (Tensor(k), Tensor(rng.normal(0.0, 0.1, size=d)))
-        p = config.feature_size
-        self.out_weight = Tensor(rng.normal(0.0, np.sqrt(1.0 / p), size=(p,)))
-        self.out_bias = Tensor(np.zeros(1))
+        values["embedding"][PAD_ID] = 0.0
+        self._hold(values)
+
+    def _hold(self, values):
+        """Wrap each named array, without copying, as this model's tensor."""
+        self.embedding = Tensor(values["embedding"])
+        self.kernels = {
+            w: (Tensor(values[f"conv{w}_kernel"]), Tensor(values[f"conv{w}_bias"]))
+            for w in WINDOWS
+        }
+        self.out_weight = Tensor(values["out_weight"])
+        self.out_bias = Tensor(values["out_bias"])
 
     def tensors(self):
         """Name -> Tensor, in checkpoint order."""
@@ -98,6 +117,7 @@ class ModelParams:
         The embedding and out_weight shapes fix the config; the file must
         then hold exactly that model's tensors at their shapes.
         Anything else is a ValueError naming the file and the tensor.
+        The model holds the file's arrays and draws no random values.
         """
         arrays = load_checkpoint(path)
         for name, ndim in (("embedding", 2), ("out_weight", 1)):
@@ -113,16 +133,16 @@ class ModelParams:
             )
         except ValueError as exc:
             raise ValueError(f"checkpoint {path}: its tensor shapes fit no model: {exc}") from None
-        params = cls(config, seed=0)
         got = {name: a.shape for name, a in arrays.items()}
-        want = {name: t.shape for name, t in params.tensors().items()}
+        want = {name: shape for name, (shape, _) in _initial_draws(config).items()}
         for name in [*want, *got]:
             if got.get(name) != want.get(name):
                 raise ValueError(
                     f"checkpoint {path}: tensor {name} is {got.get(name, 'missing')} in the file "
                     f"but {want.get(name, 'absent')} in the model"
                 )
-        params.set_values(arrays)
+        params = cls.__new__(cls)
+        params._hold(arrays)
         return params, config
 
 

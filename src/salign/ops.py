@@ -5,7 +5,11 @@ vector-Jacobian-product closure written in terms of ops from this module,
 which keeps the op set closed under differentiation, and appends its output
 to the active :class:`~salign.engine.Graph`, if any. Nonsmooth ops (relu,
 maximum, max-pooling) freeze their routing pattern at forward time, so
-their second derivative is zero almost everywhere.
+their second derivative is zero almost everywhere. relu and maximum keep
+that pattern as one boolean array, an eighth the size of a float64 mask,
+and their VJP multiplies by its float64 cast, whose 0.0 and 1.0 give the
+same bits a float mask would; maximum's second operand takes the negation.
+Max-pooling keeps its argmax indices in a take.
 
 conv1d_same is one node that keeps only its output: for its kernel's
 gradient, its backward rebuilds the zero-padded windows of its input with
@@ -108,10 +112,10 @@ def sub(a, b):
 
 def relu(a):
     a = _as_tensor(a)
-    mask = Tensor((a.values > 0).astype(np.float64))
+    live = a.values > 0
 
     def vjp(g, needs):
-        return (mul(g, mask),)
+        return (mul(g, Tensor(live)),)
 
     return _node("relu", np.maximum(a.values, 0.0), (a,), vjp)
 
@@ -121,12 +125,11 @@ def maximum(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"maximum: shape mismatch {a.shape} vs {b.shape}")
-    take_a = Tensor((a.values >= b.values).astype(np.float64))
-    take_b = Tensor(1.0 - take_a.values)
+    take_a = a.values >= b.values
 
     def vjp(g, needs):
-        da = mul(g, take_a) if needs[0] else None
-        db = mul(g, take_b) if needs[1] else None
+        da = mul(g, Tensor(take_a)) if needs[0] else None
+        db = mul(g, Tensor(~take_a)) if needs[1] else None
         return da, db
 
     return _node("maximum", np.maximum(a.values, b.values), (a, b), vjp)
@@ -386,9 +389,11 @@ def conv1d_same(x, kernel, bias):
 
     x: (…, n, d_in); kernel: (w, d_in, d_out) with odd w; bias: (d_out,).
     Output position i is the affine map of the zero-padded width-w window
-    centered at i. One node that keeps only its output: the (…, n, w·d_in)
-    window tensor is dropped after the forward, and the backward rebuilds it
-    from x only when the kernel's gradient is needed. The input's gradient
+    centered at i. One node that keeps only its output: the forward writes
+    the w shifted copies of x into one zeroed (…, n, w, d_in) buffer, which
+    the matmul reads as (rows, w·d_in) and which is dropped after the
+    forward; the backward rebuilds it from x only when the kernel's
+    gradient is needed. The input's gradient
     is the conv of g with the flipped, transposed kernel, and the VJP is
     built from ops here, so the conv is differentiable to second order.
     """
@@ -405,7 +410,13 @@ def conv1d_same(x, kernel, bias):
     half = w // 2
     lead = x.shape[:-1]
     rows = int(np.prod(lead, dtype=np.int64))
-    windows = np.concatenate([_shifted(x.values, half - t) for t in range(w)], axis=-1)
+    n = lead[-1]
+    windows = np.zeros(lead + (w, d_in))
+    for t in range(w):
+        # row i's tap t is input row i + t - half, zero past either end
+        lo, hi = max(half - t, 0), min(n, n + half - t)
+        if lo < hi:
+            windows[..., lo:hi, t, :] = x.values[..., lo + t - half : hi + t - half, :]
     flat = windows.reshape(rows, w * d_in) @ kernel.values.reshape(w * d_in, d_out)
 
     def vjp(g, needs):

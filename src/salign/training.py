@@ -81,15 +81,18 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads, state: AdamState, cfg: TrainConfig):
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place. A non-finite
+    gradient raises NumericalError before any parameter or state changes."""
+    named = params.tensors()
+    for name in named:
+        if not np.isfinite(grads[name]).all():
+            raise NumericalError(f"non-finite gradient for tensor {name!r}")
     state.step += 1
     t = state.step
     correct1 = 1.0 - ADAM_BETA1**t
     correct2 = 1.0 - ADAM_BETA2**t
-    for name, tensor in params.tensors().items():
+    for name, tensor in named.items():
         g = grads[name]
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for tensor {name!r}")
         state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
         state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[name] / correct1

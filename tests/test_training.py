@@ -53,6 +53,23 @@ class TestAdamStep:
         with pytest.raises(NumericalError, match="conv3_kernel"):
             adam_step(params, grads, state, cfg)
 
+    def test_nan_in_last_gradient_changes_nothing(self):
+        # every gradient is checked before any tensor or moment is stepped
+        params, state, cfg = self.make()
+        grads = {name: np.full_like(t.values, 0.37) for name, t in params.tensors().items()}
+        adam_step(params, grads, state, cfg)
+        before = params.clone_values()
+        m, v = ({name: a.copy() for name, a in moments.items()} for moments in (state.m, state.v))
+        last = list(params.tensors())[-1]
+        grads[last] = np.full_like(grads[last], np.nan)
+        with pytest.raises(NumericalError, match=last):
+            adam_step(params, grads, state, cfg)
+        assert state.step == 1
+        for name, t in params.tensors().items():
+            assert t.values.tobytes() == before[name].tobytes(), name
+            assert state.m[name].tobytes() == m[name].tobytes(), name
+            assert state.v[name].tobytes() == v[name].tobytes(), name
+
     def test_scalar_quadratic_converges(self):
         # 100 steps of rate 0.1 on (x - 3)^2 from 0 land near the minimum
         class ScalarParams:
