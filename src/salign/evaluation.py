@@ -97,10 +97,12 @@ def predict_batch(params, config, examples):
 
 def _level_sums(trace, levels):
     """Per level, a batched trace's (B, n) score gradient from one backward
-    pass, summed over the embedding axis where the level has one."""
-    targets = [trace.level_tensor(level) for level in levels]
-    grads = grad(ops.sum_axes(trace.logit), targets) if targets else {}
-    return [grads[t].values.sum(axis=-1) if t.ndim == 3 else grads[t].values for t in targets]
+    pass, as the trace's level helpers define it."""
+    if not levels:
+        return []
+    grads = grad(ops.sum_axes(trace.logit), trace.level_targets(levels))
+    with no_grad():
+        return [g.values for g in trace.level_values(levels, grads)]
 
 
 def _per_example(sums, examples, levels, max_len):

@@ -7,10 +7,16 @@ contributes a hinge term max(0, -Z_i * G_i) per position, all sharing one
 penalty weight. Because the per-token gradients are built with
 create_graph, the resulting cost is differentiable with respect to the
 parameters and can be fed to a standard optimizer.
+
+Every level's gradient is (B, n): the trace's level helpers take the word
+level at the conv outputs and contract the embedding axis before the
+transposed conv. A level whose hinge is inactive on the whole batch is left
+out of the cost, so the parameter backward never walks its graph.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +69,7 @@ def hinge_penalty(G, Z):
     Z = np.asarray(Z, dtype=np.float64)
     if G.shape != Z.shape:
         raise ValueError(f"hinge_penalty: gradient shape {G.shape} vs mask {Z.shape}")
-    return ops.sum_axes(ops.relu(ops.neg(ops.mul(G, Tensor(Z)))))
+    return ops.sum_axes(ops.relu(ops.mul(G, Tensor(-Z))))
 
 
 def padded_mask(example, n_max):
@@ -82,16 +88,16 @@ def mean_task_loss(trace: ForwardTrace, examples):
 def alignment_penalty(level_grads, examples, strength):
     """strength / n times the summed hinge terms of a batch's level gradients.
 
-    level_grads are the create-graph gradients of the summed logit, one per
-    level, each padded to the same length; a 3-D (word) gradient is summed
-    over its embedding axis first.
+    level_grads are the (B, n) create-graph gradients of the summed logit,
+    one per level. A level whose hinge sum is exactly zero is left out: its
+    relu is inactive everywhere, so its graph would send only exact zeros to
+    the parameters. With no level left the penalty is an exact zero.
     """
     mask = np.stack([padded_mask(ex, level_grads[0].shape[1]) for ex in examples])
-    penalty = None
-    for g in level_grads:
-        term = hinge_penalty(ops.sum_axes(g, (-1,)) if g.ndim == 3 else g, mask)
-        penalty = term if penalty is None else ops.add(penalty, term)
-    return ops.scale(penalty, strength / len(examples))
+    terms = [t for t in (hinge_penalty(g, mask) for g in level_grads) if t.item() != 0.0]
+    if not terms:
+        return Tensor(0.0)
+    return ops.scale(functools.reduce(ops.add, terms), strength / len(examples))
 
 
 def total_cost(trace: ForwardTrace, examples, cfg: SaliencyConfig):
@@ -105,7 +111,6 @@ def total_cost(trace: ForwardTrace, examples, cfg: SaliencyConfig):
     mean_loss = mean_task_loss(trace, examples)
     if not cfg.enabled:
         return mean_loss
-    targets = [trace.level_tensor(level) for level in cfg.levels]
-    level_grads = grad(ops.sum_axes(trace.logit), targets, create_graph=True)
-    penalty = alignment_penalty([level_grads[t] for t in targets], examples, cfg.strength)
+    grads = grad(ops.sum_axes(trace.logit), trace.level_targets(cfg.levels), create_graph=True)
+    penalty = alignment_penalty(trace.level_values(cfg.levels, grads), examples, cfg.strength)
     return ops.add(mean_loss, penalty)

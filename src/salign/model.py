@@ -201,6 +201,10 @@ class ForwardTrace:
     dim_max:      (B, n) max over embedding dimensions
     query_vec:    (B, d) pooled query representation, qa mode only
     logit:        (B,) pre-sigmoid score
+    relus:        relu(conv) per window, in WINDOWS order: the parents of the
+                  max that forms the conv stack; empty when the forward
+                  builds no graph
+    kernels:      the model's {window: (kernel, bias)}
     """
 
     embedded: Tensor
@@ -209,6 +213,8 @@ class ForwardTrace:
     dim_max: Tensor
     query_vec: Tensor | None
     logit: Tensor
+    relus: tuple
+    kernels: dict
 
     def level_tensor(self, level):
         if level == "word":
@@ -218,6 +224,50 @@ class ForwardTrace:
         if level == "decision":
             return self.dim_max
         raise ValueError(f"unknown level {level!r}, expected one of {LEVELS}")
+
+    def _convs(self):
+        """Each window's (B, n, d) conv output before relu, read off the graph."""
+        if not self.relus:
+            raise ValueError("word-level gradients need a trace built with gradients on")
+        return [relu.parents[0] for relu in self.relus]
+
+    def level_targets(self, levels):
+        """What to differentiate the summed logit at for level_values: the
+        conv outputs for the word level, the level's tensor for the others."""
+        targets = []
+        for level in levels:
+            targets += self._convs() if level == "word" else [self.level_tensor(level)]
+        return targets
+
+    def level_values(self, levels, grads):
+        """Each level's (B, n) score gradient, from grads of level_targets:
+        the gradient at the level's tensor, summed over d where it has one."""
+        out = []
+        for level in levels:
+            if level == "word":
+                out.append(self._word_gradient(grads))
+            elif level == "intermediate":
+                out.append(ops.sum_axes(grads[self.intermediate], (-1,)))
+            else:
+                out.append(grads[self.dim_max])
+        return out
+
+    def _word_gradient(self, grads):
+        """The gradient at embedded summed over d, from the conv outputs'.
+
+        The sum over d of a transposed conv is one conv with the input-summed,
+        flipped kernel: per window a d_out = 1 conv, 1/d of the full one's
+        work, built from ops, so it stays differentiable.
+        """
+        word = None
+        for w, conv in zip(WINDOWS, self._convs()):
+            kernel = self.kernels[w][0]
+            # K''[t, o, 0] = sum_i K[w-1-t, i, o]
+            flip = (np.arange(w)[::-1, None, None], np.arange(kernel.shape[2])[:, None])
+            summed = ops.take(ops.sum_axes(kernel, (1,)), flip)
+            term = ops.conv1d_same(grads[conv], summed, np.zeros(1))
+            word = term if word is None else ops.add(word, term)
+        return ops.reshape(word, word.shape[:-1])
 
 
 def pad_ids(tokens, n_max):
@@ -268,6 +318,7 @@ def _classify(embedded, params, config, query_vec, dropout_mask):
     """Shared forward; embedded is (B, n, d), query_vec (B, d) in qa mode
     and None in event mode, dropout_mask None or (B, feature_size)."""
     intermediate = _conv_stack(embedded, params)
+    relus = intermediate.parents  # the max's own tuple, so no allocation; () without a graph
     if query_vec is not None:
         intermediate = ops.mul(intermediate, ops.expand_axes(query_vec, intermediate.shape, (-2,)))
     seq_max = ops.maxpool_axis(intermediate, axis=-2)
@@ -277,7 +328,9 @@ def _classify(embedded, params, config, query_vec, dropout_mask):
         features = ops.mul(features, Tensor(dropout_mask))
     scores = ops.matmul2d(features, ops.reshape(params.out_weight, (config.feature_size, 1)))
     logit = ops.reshape(ops.add(scores, params.out_bias), features.shape[:1])
-    return ForwardTrace(embedded, intermediate, seq_max, dim_max, query_vec, logit)
+    return ForwardTrace(
+        embedded, intermediate, seq_max, dim_max, query_vec, logit, relus, params.kernels
+    )
 
 
 def encode_batch(examples, params, config, dropout_masks=None):

@@ -15,7 +15,10 @@ conv1d_same is one node that keeps only its output: for its kernel's
 gradient, its backward rebuilds the zero-padded windows of its input with
 shift_rows and concat_last rather than keeping them from the forward
 (recompute instead of retain), since a double backward holds every forward
-value until it ends. Its input's gradient is the conv itself.
+value until it ends. Its input's gradient is the conv itself. Where only that
+gradient's sum over d_in is read, as the word-level hinge reads it, the
+model runs the conv once more with the kernel summed over d_in, a d_out = 1
+conv (model.ForwardTrace.level_values).
 
 add and mul broadcast an operand whose shape is a trailing suffix of the
 other's (a scalar is the empty suffix); every other shape change goes

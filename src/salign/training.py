@@ -110,9 +110,9 @@ def _batch_cost(examples, params, config, cfg, masks):
     mean_loss = mean_task_loss(trace, examples)
     if not cfg.saliency.enabled:
         return mean_loss, mean_loss.item(), 0.0
-    targets = [trace.level_tensor(level) for level in cfg.saliency.levels]
-    level_grads = grad(ops.sum_axes(trace.logit), targets, create_graph=True)
-    penalty = alignment_penalty([level_grads[t] for t in targets], examples, cfg.saliency.strength)
+    levels = cfg.saliency.levels
+    grads = grad(ops.sum_axes(trace.logit), trace.level_targets(levels), create_graph=True)
+    penalty = alignment_penalty(trace.level_values(levels, grads), examples, cfg.saliency.strength)
     return ops.add(mean_loss, penalty), mean_loss.item(), penalty.item()
 
 

@@ -263,11 +263,11 @@ class TestForwardMemory:
 
     @pytest.mark.parametrize("mode", ["event", "qa"])
     def test_level_gradient_owns_no_window_copies(self, mode):
-        """The create-graph gradient of the summed logit at every level, as
-        training builds it: each conv's input gradient is one conv with the
-        flipped kernel, so it holds no shift_rows node, and the arrays its
-        nodes own add up to at most 12 of shape (B, n, d) (10.3 in event,
-        11.3 in qa). Summing the w shifted taps one by one kept about 30."""
+        """The create-graph gradient of the summed logit at every level's
+        tensor: each conv's input gradient is one conv with the flipped
+        kernel, so it holds no shift_rows node, and the arrays its nodes own
+        add up to at most 12 of shape (B, n, d) (10.3 in event, 11.3 in qa).
+        Summing the w shifted taps one by one kept about 30."""
         ds = gen_synthetic(SynthConfig(count=64, vocab_size=100, trigger_count=5, min_len=6,
                                        max_len=14, seed=1, mode=mode))
         config = ModelConfig(vocab_size=len(ds.vocab), embed_dim=16, max_len=12, mode=mode)
@@ -280,6 +280,26 @@ class TestForwardMemory:
         owned = sum(t.values.nbytes for t in graph.nodes if t.values.base is None)
         assert owned <= 12 * np.zeros((64, 12, 16)).nbytes
 
+
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_level_values_own_less_than_the_embedding_gradient(self, mode):
+        """The create-graph gradient and every level's (B, n) value, as
+        training builds them: the word level is taken at the conv outputs
+        and summed over d by a d_out = 1 conv per window, so its nodes own at
+        most 9 arrays of shape (B, n, d) (7.4 in event, 8.4 in qa). Taking
+        it at the embeddings and summing there owned 10.4 and 11.4."""
+        ds = gen_synthetic(SynthConfig(count=64, vocab_size=100, trigger_count=5, min_len=6,
+                                       max_len=14, seed=1, mode=mode))
+        config = ModelConfig(vocab_size=len(ds.vocab), embed_dim=16, max_len=12, mode=mode)
+        params = ModelParams(config, seed=0)
+        trace = encode_batch(ds.examples, params, config)
+        with Graph() as graph:
+            grads = grad(ops.sum_axes(trace.logit), trace.level_targets(LEVELS),
+                         create_graph=True)
+            values = trace.level_values(LEVELS, grads)
+        assert [v.shape for v in values] == [(64, 12)] * len(LEVELS)
+        owned = sum(t.values.nbytes for t in graph.nodes if t.values.base is None)
+        assert owned <= 9 * np.zeros((64, 12, 16)).nbytes
 
     @pytest.mark.parametrize("mode, bound", [("event", 8), ("qa", 16)])
     def test_forward_graph_holds_one_byte_routing(self, mode, bound):
