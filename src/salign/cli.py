@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .data import (
     Dataset,
     SynthConfig,
-    Vocabulary,
     gen_synthetic,
     load_embeddings,
     load_jsonl,
@@ -95,14 +93,12 @@ _SPECS = {
     },
     "eval": {
         "checkpoint": (str, None),
-        "vocab": (str, None),
         "data": (str, None),
         "out": (str, None),
     },
     "saliency": {
         "checkpoint": (str, None),
         "baseline_checkpoint": (str, None),
-        "vocab": (str, None),
         "data": (str, None),
         "k": (int, 6),
         "limit": (int, 10),
@@ -110,7 +106,6 @@ _SPECS = {
     },
     "verify": {
         "checkpoint": (str, None),
-        "vocab": (str, None),
         "data": (str, None),
         "out": (str, None),
     },
@@ -124,7 +119,6 @@ _SPECS = {
     "compare": {
         "checkpoint_a": (str, None),
         "checkpoint_b": (str, None),
-        "vocab": (str, None),
         "data": (str, None),
         "out": (str, None),
     },
@@ -158,15 +152,17 @@ def resolve(command, args):
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     options = {}
     for name, (typ, default) in spec.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            options[name] = flag_value
-        elif name in file_values:
-            options[name] = typ(file_values[name])
-        elif name == "seed" and os.environ.get("SF_SEED"):
-            options[name] = int(os.environ["SF_SEED"])
-        else:
-            options[name] = default
+        source, value = "flag", getattr(args, name, None)  # flags arrive typed
+        if value is None and name in file_values:
+            source, value = f"config file {args.config}", file_values[name]
+        elif value is None and name == "seed" and os.environ.get("SF_SEED"):
+            source, value = "environment variable SF_SEED", os.environ["SF_SEED"]
+        try:
+            options[name] = default if value is None else typ(value)
+        except ValueError:
+            raise ValueError(
+                f"{source}: {name} = {value!r} is not a valid {typ.__name__}"
+            ) from None
     return options
 
 
@@ -178,43 +174,17 @@ def _require_file(path, what):
     return path
 
 
-def _own_vocab(checkpoint):
-    """The vocab.txt beside a checkpoint."""
-    path = str(Path(checkpoint).with_name("vocab.txt"))
-    return Vocabulary.load(_require_file(path, "vocabulary"))
-
-
-def _load_model(checkpoint, vocab_path):
-    _require_file(checkpoint, "checkpoint")
-    if vocab_path is None:
-        vocab = _own_vocab(checkpoint)
-    else:
-        vocab = Vocabulary.load(_require_file(vocab_path, "vocabulary"))
-    params, config = _load_checkpoint(checkpoint, vocab)
+def _load_model(checkpoint, first=None):
+    """(params, config, vocab) of a checkpoint. A second model, read beside
+    the first one's (params, config, vocab), must share its mode and
+    vocabulary."""
+    params, config, vocab = ModelParams.load(_require_file(checkpoint, "checkpoint"))
+    if first is not None:
+        for what, mine, theirs in (("mode", config.mode, first[1].mode),
+                                   ("vocabulary", vocab.tokens, first[2].tokens)):
+            if mine != theirs:
+                raise ValueError(f"checkpoint {checkpoint}: its {what} differs from the first's")
     return params, config, vocab
-
-
-def _load_second(checkpoint, vocab, vocab_path, mode):
-    """The second model of compare or saliency, read with the first one's
-    vocabulary. Without --vocab, its own vocab.txt must equal that one."""
-    loaded = _load_checkpoint(checkpoint, vocab, mode)
-    if vocab_path is None and _own_vocab(checkpoint).tokens != vocab.tokens:
-        raise ValueError(
-            f"checkpoint {checkpoint}: its vocab.txt differs from the first checkpoint's"
-        )
-    return loaded
-
-
-def _load_checkpoint(checkpoint, vocab, mode="event"):
-    """A checkpoint with the config its own shapes give, in mode; its
-    embedding must cover exactly the vocabulary."""
-    params, config = ModelParams.load(_require_file(checkpoint, "checkpoint"), mode=mode)
-    if config.vocab_size != len(vocab):
-        raise ValueError(
-            f"checkpoint {checkpoint}: embedding has {config.vocab_size} rows "
-            f"but the vocabulary has {len(vocab)} tokens"
-        )
-    return params, config
 
 
 def _emit(text, out):
@@ -227,13 +197,15 @@ def _emit(text, out):
     return 0
 
 
-def _dataset_for(config, path, vocab):
-    """The dataset at path, which must hold an example, and the model config
-    switched to the dataset's mode."""
+def _dataset_for(config, vocab, path):
+    """The dataset at path, read with the model's vocabulary; it must hold
+    an example and be of the model's mode."""
     dataset = load_jsonl(_require_file(path, "dataset"), vocab)
     if not dataset.examples:
         raise ValueError(f"{path}: no examples")
-    return dataset, replace(config, mode=dataset.mode)
+    if dataset.mode != config.mode:
+        raise ValueError(f"{path}: {dataset.mode} data, but the checkpoint's mode is {config.mode}")
+    return dataset
 
 
 def cmd_synth(run):
@@ -289,8 +261,7 @@ def cmd_train(run):
     params, log = train(config, train_set, dev_set, cfg, params=params)
     out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
-    params.save(out / "checkpoint.bin")
-    train_set.vocab.save(out / "vocab.txt")
+    params.save(out / "checkpoint.bin", config, train_set.vocab)
     log.to_jsonl(out / "train_log.jsonl")
     best = log.records[log.best_epoch - 1]
     print(f"best epoch {log.best_epoch}: dev F1 {best.dev_f1:.1f}, wrote {out}/checkpoint.bin")
@@ -298,8 +269,8 @@ def cmd_train(run):
 
 
 def cmd_eval(run):
-    params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
-    dataset, config = _dataset_for(config, run["data"], vocab)
+    params, config, vocab = _load_model(run["checkpoint"])
+    dataset = _dataset_for(config, vocab, run["data"])
     report = evaluate_model(params, config, dataset)
     return _emit(serialize_metrics(report), run["out"])
 
@@ -308,11 +279,12 @@ def cmd_saliency(run):
     for name in ("limit", "k"):
         if run[name] < 1:
             raise ValueError(f"--{name} must be at least 1, got {run[name]}")
-    params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
-    dataset, config = _dataset_for(config, run["data"], vocab)
+    model = _load_model(run["checkpoint"])
+    params, config, vocab = model
+    dataset = _dataset_for(config, vocab, run["data"])
     baseline = None
     if run["baseline_checkpoint"]:
-        baseline = _load_second(run["baseline_checkpoint"], vocab, run["vocab"], config.mode)
+        baseline = _load_model(run["baseline_checkpoint"], model)[:2]
     out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
     examples = dataset.examples[: run["limit"]]
@@ -332,8 +304,8 @@ def cmd_saliency(run):
 
 
 def cmd_verify(run):
-    params, config, vocab = _load_model(run["checkpoint"], run["vocab"])
-    dataset, config = _dataset_for(config, run["data"], vocab)
+    params, config, vocab = _load_model(run["checkpoint"])
+    dataset = _dataset_for(config, vocab, run["data"])
     positives = [ex for ex in dataset.examples if ex.label == 1 and ex.marked_count >= 1]
     if not positives:
         raise ValueError("dataset has no marked positive examples")
@@ -360,9 +332,10 @@ def cmd_gradcheck(run):
 
 def cmd_compare(run):
     _require_file(run["data"], "dataset")
-    params_a, config_a, vocab = _load_model(run["checkpoint_a"], run["vocab"])
-    dataset, config_a = _dataset_for(config_a, run["data"], vocab)
-    params_b, config_b = _load_second(run["checkpoint_b"], vocab, run["vocab"], dataset.mode)
+    model_a = _load_model(run["checkpoint_a"])
+    params_a, config_a, vocab = model_a
+    dataset = _dataset_for(config_a, vocab, run["data"])
+    params_b, config_b, _ = _load_model(run["checkpoint_b"], model_a)
     labels = np.array(dataset.labels())
     pred_a = predict_batch(params_a, config_a, dataset.examples)
     pred_b = predict_batch(params_b, config_b, dataset.examples)

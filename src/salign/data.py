@@ -55,7 +55,10 @@ class Vocabulary:
     """Dense token <-> id map with reserved pad/unknown/blank entries."""
 
     def __init__(self, tokens=None):
-        self.tokens = list(tokens) if tokens is not None else list(RESERVED_TOKENS)
+        tokens = list(RESERVED_TOKENS) if tokens is None else tokens
+        if not _is_string_list(tokens):
+            raise ValueError("vocabulary must be a list of strings")
+        self.tokens = list(tokens)
         if self.tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
             raise ValueError(f"vocabulary must start with {RESERVED_TOKENS}")
         self.index = {t: i for i, t in enumerate(self.tokens)}
@@ -82,22 +85,6 @@ class Vocabulary:
 
     def token_for(self, idx):
         return self.tokens[idx]
-
-    def save(self, path):
-        for t in self.tokens:
-            if "\n" in t:
-                raise ValueError("vocabulary tokens must not contain newlines")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.tokens) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            tokens = fh.read().splitlines()
-        try:
-            return cls(tokens)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -16,17 +16,21 @@ query encoded alone at its exact length. A single example is a batch of one.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .data import BLANK_ID, MODES, PAD_ID
+from .data import BLANK_ID, MODES, PAD_ID, Vocabulary
 from .engine import Tensor
 
 LEVELS = ("word", "intermediate", "decision")
 # the two convolution widths, in checkpoint and forward order
 WINDOWS = (3, 5)
+# a checkpoint's first header line
+MAGIC = "salign-checkpoint 2"
 
 
 @dataclass
@@ -107,19 +111,25 @@ class ModelParams:
         for name, t in self.tensors().items():
             t.values[...] = values[name]
 
-    def save(self, path):
-        save_checkpoint(self.tensors(), path)
+    def save(self, path, config, vocab):
+        save_checkpoint(self.tensors(), path, config.mode, vocab.tokens)
 
     @classmethod
-    def load(cls, path, mode="event"):
-        """Rebuild params and a matching config from a checkpoint file.
+    def load(cls, path):
+        """Rebuild params, their config and their vocabulary from a checkpoint.
 
-        The embedding and out_weight shapes fix the config; the file must
-        then hold exactly that model's tensors at their shapes.
-        Anything else is a ValueError naming the file and the tensor.
-        The model holds the file's arrays and draws no random values.
+        The header gives the mode and the tokens; the embedding and
+        out_weight shapes fix the rest of the config. The file must then
+        hold exactly that model's tensors, in checkpoint order and at their
+        shapes, with one embedding row per token. Anything else is a
+        ValueError naming the file (and the tensor). The model holds the
+        file's arrays and draws no random values.
         """
-        arrays = load_checkpoint(path)
+        mode, tokens, arrays = load_checkpoint(path)
+        try:
+            vocab = Vocabulary(tokens)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
         for name, ndim in (("embedding", 2), ("out_weight", 1)):
             if name not in arrays or arrays[name].ndim != ndim:
                 raise ValueError(f"checkpoint {path}: tensor {name} missing or not {ndim}-D")
@@ -141,15 +151,23 @@ class ModelParams:
                     f"checkpoint {path}: tensor {name} is {got.get(name, 'missing')} in the file "
                     f"but {want.get(name, 'absent')} in the model"
                 )
+        if list(got) != list(want):
+            raise ValueError(f"checkpoint {path}: tensors are not in the order {', '.join(want)}")
+        if vocab_size != len(vocab):
+            raise ValueError(
+                f"checkpoint {path}: embedding has {vocab_size} rows "
+                f"but the vocabulary has {len(vocab)} tokens"
+            )
         params = cls.__new__(cls)
         params._hold(arrays)
-        return params, config
+        return params, config, vocab
 
 
-def save_checkpoint(tensors, path):
-    """Plain-text header (name and shape per line), blank line, then the
-    tensors' float64 little-endian data in header order."""
-    lines = []
+def save_checkpoint(tensors, path, mode, tokens):
+    """Plain-text header: the magic line, ``mode <mode>``, ``vocab <JSON list
+    of tokens>`` and a name and shape line per tensor. Then a blank line and
+    the tensors' float64 little-endian data in header order."""
+    lines = [MAGIC, f"mode {mode}", "vocab " + json.dumps(tokens, separators=(",", ":"))]
     for name, t in tensors.items():
         dims = " ".join(str(s) for s in t.values.shape)
         lines.append(f"{name} {dims}".rstrip())
@@ -161,23 +179,39 @@ def save_checkpoint(tensors, path):
 
 
 def load_checkpoint(path):
-    """Name -> float64 array. A malformed header line, a repeated name, a
-    data section shorter or longer than the header's tensors, or a
-    non-finite value is a ValueError naming the file and the tensor."""
+    """(mode, token list, name -> float64 array). A file that does not start
+    with the magic line, a bad mode or vocab line, a malformed tensor line,
+    a repeated name, a data section shorter or longer than the header's
+    tensors, or a non-finite value is a ValueError naming the file (and the
+    tensor)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head, blank, blob = raw.partition(b"\n\n")
+    magic, *lines = head.decode("ascii", "replace").split("\n")
+    if magic != MAGIC:
+        raise ValueError(f"checkpoint {path}: not a {MAGIC} file (retrain to write one)")
     if not blank:
         raise ValueError(f"checkpoint {path}: no blank line after the header")
+    mode_line, vocab_line = (lines + ["", ""])[:2]
+    mode_key, _, mode = mode_line.partition(" ")
+    if mode_key != "mode" or mode not in MODES:
+        raise ValueError(f"checkpoint {path}: header line 2 is not 'mode' and one of {MODES}")
+    vocab_key, _, vocab = vocab_line.partition(" ")
+    try:
+        tokens = json.loads(vocab) if vocab_key == "vocab" else None
+    except ValueError:
+        tokens = None
+    if tokens is None:
+        raise ValueError(f"checkpoint {path}: header line 3 is not 'vocab' and a JSON list")
     arrays = {}
     offset = 0
     name = "(none)"
-    for line in head.decode("ascii", "replace").splitlines():
-        name, *dims = line.split() or ["(blank)"]
-        if name in arrays or not all(s.isdigit() for s in dims):
+    for line in lines[2:]:
+        name, *dims = line.split(" ")
+        if name in arrays or not all(s.isdigit() and len(s) < 20 for s in dims):
             raise ValueError(f"checkpoint {path}: bad header line for tensor {name}")
         shape = tuple(int(s) for s in dims)
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         if offset + 8 * count > len(blob):
             raise ValueError(f"checkpoint {path}: data section ends inside tensor {name}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
@@ -188,7 +222,7 @@ def load_checkpoint(path):
     if offset != len(blob):
         extra = len(blob) - offset
         raise ValueError(f"checkpoint {path}: {extra} bytes of data after the last tensor {name}")
-    return arrays
+    return mode, tokens, arrays
 
 
 @dataclass

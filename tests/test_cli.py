@@ -11,7 +11,7 @@ import pytest
 
 from salign import cli
 from salign.cli import main
-from salign.data import Example, SynthConfig, Vocabulary, gen_synthetic, load_jsonl
+from salign.data import Example, SynthConfig, gen_synthetic, load_jsonl
 from salign.evaluation import (
     SALIENCY_CHUNK,
     SaliencyReport,
@@ -24,6 +24,33 @@ from salign.report import render_heatmap
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def edit_header(path, edit, out):
+    """Write to out the checkpoint at path with its header lines replaced
+    by edit(lines); the data section is kept as it is."""
+    head, _, blob = Path(path).read_bytes().partition(b"\n\n")
+    lines = edit(head.decode("ascii").split("\n"))
+    Path(out).write_bytes("\n".join(lines).encode("ascii") + b"\n\n" + blob)
+    return out
+
+
+def edit_vocab(edit):
+    """A header edit that replaces the vocab line's tokens by edit(tokens)."""
+    def apply(lines):
+        tokens = edit(json.loads(lines[2].removeprefix("vocab ")))
+        return [*lines[:2], "vocab " + json.dumps(tokens), *lines[3:]]
+    return apply
+
+
+def as_qa(lines):
+    return [lines[0], "mode qa", *lines[2:]]
+
+
+def workspace_examples(workspace, limit=None):
+    """The workspace test set, read with the trained models' vocabulary."""
+    vocab = ModelParams.load(workspace / "sal/checkpoint.bin")[2]
+    return load_jsonl(workspace / "test.jsonl", vocab).examples[:limit]
 
 
 def chunk_passes(count, chunk, graph):
@@ -87,8 +114,10 @@ class TestTrain:
         assert code == 1
 
     def test_outputs_exist(self, workspace):
-        for name in ("checkpoint.bin", "vocab.txt", "train_log.jsonl"):
-            assert (workspace / "sal" / name).is_file()
+        # the checkpoint holds the mode and the vocabulary; no side file
+        assert sorted(p.name for p in (workspace / "sal").iterdir()) == [
+            "checkpoint.bin", "train_log.jsonl",
+        ]
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         args = [
@@ -98,7 +127,7 @@ class TestTrain:
         ]
         assert run_cli(*args, "--out", str(tmp_path / "r1")) == 0
         assert run_cli(*args, "--out", str(tmp_path / "r2")) == 0
-        for name in ("checkpoint.bin", "vocab.txt", "train_log.jsonl"):
+        for name in ("checkpoint.bin", "train_log.jsonl"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
@@ -225,7 +254,7 @@ def wide(workspace):
 
 
 def own_predictions(path, examples):
-    params, config = ModelParams.load(path)
+    params, config, _ = ModelParams.load(path)
     return predict_batch(params, config, examples)
 
 
@@ -235,9 +264,8 @@ class TestSecondCheckpoint:
         narrow = workspace / "sal/checkpoint.bin"
         a, b = (wide, narrow) if wide_is == "a" else (narrow, wide)
         assert run_cli("compare", "--checkpoint-a", str(a), "--checkpoint-b", str(b),
-                       "--vocab", str(workspace / "sal/vocab.txt"),
                        "--data", str(workspace / "test.jsonl")) == 0
-        examples = load_jsonl(workspace / "test.jsonl", Vocabulary.load(workspace / "sal/vocab.txt")).examples
+        examples = workspace_examples(workspace)
         labels = np.array([ex.label for ex in examples])
         pred_a, pred_b = own_predictions(a, examples), own_predictions(b, examples)
         b_count = int(np.sum((pred_a == labels) & (pred_b != labels)))
@@ -251,9 +279,8 @@ class TestSecondCheckpoint:
         model, baseline = (wide, narrow) if wide_is == "checkpoint" else (narrow, wide)
         out = tmp_path / "maps"
         assert run_cli("saliency", "--checkpoint", str(model), "--baseline-checkpoint", str(baseline),
-                       "--vocab", str(workspace / "sal/vocab.txt"),
                        "--data", str(workspace / "test.jsonl"), "--limit", "6", "--out", str(out)) == 0
-        examples = load_jsonl(workspace / "test.jsonl", Vocabulary.load(workspace / "sal/vocab.txt")).examples[:6]
+        examples = workspace_examples(workspace, 6)
         own, other = own_predictions(model, examples), own_predictions(baseline, examples)
         for i in range(6):
             body = (out / f"heatmap_{i:04d}.html").read_text()
@@ -269,10 +296,11 @@ class TestSecondCheckpoint:
     ], ids=["compare-b", "saliency-baseline", "compare-a", "saliency-model", "eval"])
     def test_vocabulary_size_mismatch_exits_1_with_one_line(self, workspace, tmp_path, capsys, flags):
         command, fits, other_flag = flags
-        vocab = Vocabulary.load(workspace / "sal/vocab.txt")
+        vocab = ModelParams.load(workspace / "sal/checkpoint.bin")[2]
         other = tmp_path / "other.bin"
-        ModelParams(ModelConfig(vocab_size=len(vocab) + 5, embed_dim=8, max_len=8)).save(other)
-        args = [command, other_flag, str(other), "--vocab", str(workspace / "sal/vocab.txt"),
+        config = ModelConfig(vocab_size=len(vocab) + 5, embed_dim=8, max_len=8)
+        ModelParams(config).save(other, config, vocab)
+        args = [command, other_flag, str(other),
                 "--data", str(workspace / "test.jsonl"), "--out", str(tmp_path / "out")]
         if fits:
             args += [fits, str(workspace / "sal/checkpoint.bin")]
@@ -295,6 +323,10 @@ def corrupt(raw, case):
         return head + b"\nextra_bias 2\n\n" + blob + bytes(16)
     if case == "shape":
         return head.replace(b"out_bias 1", b"out_bias 2") + b"\n\n" + blob + bytes(8)
+    if case.startswith("huge"):  # counts past int64, wrapping to 0, or past int()'s digits
+        side = {"huge": b"3037000500", "huge_wrap": b"4294967296", "huge_digits": b"1" * 5000}[case]
+        embedding = head.split(b"\n")[3]
+        return head.replace(embedding, b"embedding " + side + b" " + side) + b"\n\n" + blob
     if case == "short":
         return raw[:-8]
     if case == "long":
@@ -313,37 +345,51 @@ class TestMalformedInputs:
         "long": "8 bytes of data after the last tensor out_bias",
         "nan": "tensor embedding holds a non-finite value",
         "no_conv": "tensor conv3_kernel is missing in the file but (3, 8, 8) in the model",
+        "huge": "data section ends inside tensor embedding",
+        "huge_wrap": "data section ends inside tensor embedding",
+        "huge_digits": "bad header line for tensor embedding",
+        "order": "tensors are not in the order embedding, conv3_kernel, conv3_bias, "
+                 "conv5_kernel, conv5_bias, out_weight, out_bias",
+        "parent_format": "not a salign-checkpoint 2 file (retrain to write one)",
     }
 
     @pytest.mark.parametrize("case", CHECKPOINT_CASES)
     def test_checkpoint_exits_1_with_one_line(self, workspace, tmp_path, capsys, case):
         path = tmp_path / "checkpoint.bin"
+        trained = workspace / "sal/checkpoint.bin"
         if case == "no_conv":
-            params, _ = ModelParams.load(workspace / "sal/checkpoint.bin")
+            params, config, vocab = ModelParams.load(trained)
             kept = {k: t for k, t in params.tensors().items() if not k.startswith("conv")}
-            save_checkpoint(kept, path)
+            save_checkpoint(kept, path, config.mode, vocab.tokens)
+        elif case == "order":  # the two (8,) biases swap lines, not data
+            edit_header(trained, lambda ls: [*ls[:5], ls[7], ls[6], ls[5], *ls[8:]], path)
+        elif case == "parent_format":  # the header without its first three lines
+            edit_header(trained, lambda lines: lines[3:], path)
         else:
-            path.write_bytes(corrupt((workspace / "sal/checkpoint.bin").read_bytes(), case))
-        assert run_cli("eval", "--checkpoint", str(path), "--vocab", str(workspace / "sal/vocab.txt"),
-                       "--data", str(workspace / "test.jsonl")) == 1
+            path.write_bytes(corrupt(trained.read_bytes(), case))
+        assert run_cli("eval", "--checkpoint", str(path), "--data", str(workspace / "test.jsonl")) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: checkpoint {path}: {self.CHECKPOINT_CASES[case]}"
         ]
 
-    @pytest.mark.parametrize("case", ["duplicate", "reserved"])
+    VOCABULARY_CASES = {  # an edit of the vocab line's tokens, and the error
+        "duplicate": (lambda t: [*t[:4], t[3], *t[5:]], "duplicate token in vocabulary"),
+        "reserved": (lambda t: ["<unk>", *t[1:]],
+                     "vocabulary must start with ('<pad>', '<unk>', '<blank>')"),
+    }
+
+    @pytest.mark.parametrize("case", VOCABULARY_CASES)
     def test_vocabulary_exits_1_with_one_line_naming_it(self, workspace, tmp_path, capsys, case):
-        tokens = (workspace / "sal/vocab.txt").read_text().splitlines()
-        tokens = tokens + tokens[3:4] if case == "duplicate" else tokens[1:]
-        path = tmp_path / "v.txt"
-        path.write_text("\n".join(tokens) + "\n")
-        assert run_cli("eval", "--checkpoint", str(workspace / "sal/checkpoint.bin"),
-                       "--vocab", str(path), "--data", str(workspace / "test.jsonl")) == 1
+        edit, message = self.VOCABULARY_CASES[case]
+        path = edit_header(workspace / "sal/checkpoint.bin", edit_vocab(edit),
+                           tmp_path / "checkpoint.bin")
+        assert run_cli("eval", "--checkpoint", str(path),
+                       "--data", str(workspace / "test.jsonl")) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+        assert captured.err.splitlines() == [f"error: checkpoint {path}: {message}"]
 
     @pytest.mark.parametrize("command,first,second", [
         ("compare", "--checkpoint-a", "--checkpoint-b"),
@@ -352,24 +398,62 @@ class TestMalformedInputs:
     def test_second_vocabulary_mismatch_exits_1_with_one_line(self, workspace, tmp_path, capsys,
                                                               command, first, second):
         # the same tokens in another order: row counts agree, rows do not
-        tokens = (workspace / "sal/vocab.txt").read_text().splitlines()
-        tokens[3], tokens[4] = tokens[4], tokens[3]
-        other = tmp_path / "other"
-        other.mkdir()
-        (other / "vocab.txt").write_text("\n".join(tokens) + "\n")
-        (other / "checkpoint.bin").write_bytes((workspace / "sal/checkpoint.bin").read_bytes())
+        swap = edit_vocab(lambda t: [*t[:3], t[4], t[3], *t[5:]])
+        other = edit_header(workspace / "sal/checkpoint.bin", swap, tmp_path / "other.bin")
         args = [command, first, str(workspace / "base/checkpoint.bin"),
-                second, str(other / "checkpoint.bin"), "--data", str(workspace / "test.jsonl"),
+                second, str(other), "--data", str(workspace / "test.jsonl"),
                 "--out", str(tmp_path / "out")]
         assert run_cli(*args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: checkpoint {other / 'checkpoint.bin'}: its vocab.txt differs from the "
-            "first checkpoint's"
+            f"error: checkpoint {other}: its vocabulary differs from the first's"
         ]
-        # a --vocab names the one vocabulary both models are read with
-        assert run_cli(*args, "--vocab", str(workspace / "base/vocab.txt")) == 0
+
+    @pytest.mark.parametrize("command,first,second", [
+        ("compare", "--checkpoint-a", "--checkpoint-b"),
+        ("saliency", "--checkpoint", "--baseline-checkpoint"),
+    ])
+    def test_second_mode_mismatch_exits_1_with_one_line(self, workspace, tmp_path, capsys,
+                                                        command, first, second):
+        other = edit_header(workspace / "sal/checkpoint.bin", as_qa, tmp_path / "other.bin")
+        assert run_cli(command, first, str(workspace / "base/checkpoint.bin"), second, str(other),
+                       "--data", str(workspace / "test.jsonl"),
+                       "--out", str(tmp_path / "out")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: checkpoint {other}: its mode differs from the first's"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "compare", "saliency"])
+    def test_dataset_of_another_mode_exits_1_naming_it(self, workspace, tmp_path, capsys,
+                                                       command):
+        # an event model on a qa test set: the run once scored it in qa mode
+        data = tmp_path / "qa.jsonl"
+        assert run_cli("synth", "--mode", "qa", "--count", "20", "--seed", "3", "--vocab-size",
+                       "80", "--triggers", "4", "--min-len", "4", "--max-len", "8",
+                       "--out", str(data)) == 0
+        capsys.readouterr()
+        model = ["--checkpoint", str(workspace / "base/checkpoint.bin")]
+        if command == "compare":
+            model = ["--checkpoint-a", str(workspace / "base/checkpoint.bin"),
+                     "--checkpoint-b", str(workspace / "sal/checkpoint.bin")]
+        out = tmp_path / "out"
+        assert run_cli(command, *model, "--data", str(data), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {data}: qa data, but the checkpoint's mode is event"]
+        assert not out.exists()
+
+    def test_qa_model_on_event_dataset_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        path = edit_header(workspace / "sal/checkpoint.bin", as_qa, tmp_path / "qa.bin")
+        data = workspace / "test.jsonl"
+        assert run_cli("eval", "--checkpoint", str(path), "--data", str(data)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data}: event data, but the checkpoint's mode is qa"
+        ]
 
     EMBEDDING_CASES = {  # line 2's values in an 8-wide file, and the error
         "nan": ("0.5 nan 0 0 0 0 0 0", "non-finite value"),
@@ -411,9 +495,9 @@ class TestSaliencyCommand:
         if with_baseline:
             args += ["--baseline-checkpoint", str(workspace / "base/checkpoint.bin")]
         assert run_cli(*args) == 0
-        sal, config = ModelParams.load(workspace / "sal/checkpoint.bin")
-        base, _ = ModelParams.load(workspace / "base/checkpoint.bin")
-        examples = load_jsonl(workspace / "test.jsonl", Vocabulary.load(workspace / "sal/vocab.txt")).examples
+        sal, config, _ = ModelParams.load(workspace / "sal/checkpoint.bin")
+        base, _, _ = ModelParams.load(workspace / "base/checkpoint.bin")
+        examples = workspace_examples(workspace)
         for i, ex in enumerate(examples[:12]):
             own = int(predict_batch(sal, config, [ex])[0])
             if with_baseline:
@@ -545,6 +629,28 @@ class TestConfigPrecedence:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobnicate = 1\n")
         assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")) == 1
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("train", "epochs = abc", "epochs = 'abc' is not a valid int"),
+        ("synth", "count = 2.5", "count = '2.5' is not a valid int"),
+        ("synth", "bias_rate = 1e", "bias_rate = '1e' is not a valid float"),
+    ])
+    def test_bad_config_value_exits_1_naming_file_and_key(self, tmp_path, capsys, command,
+                                                          line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n{line}\n")
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: config file {cfg}: {message}"]
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_env_seed_exits_1_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SF_SEED", "seven")
+        assert run_cli("synth", "--count", "5", "--out", str(tmp_path / "x.jsonl")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: environment variable SF_SEED: seed = 'seven' is not a valid int"
+        ]
 
 
 class TestRenderHeatmap:

@@ -43,11 +43,15 @@ class TestVocabulary:
         assert v.id_for("nope") == 1
         assert v.id_for("w4") == 4
 
-    def test_save_load_roundtrip(self, tmp_path):
-        v = Vocabulary.synthetic(8)
-        v.save(tmp_path / "vocab.txt")
-        again = Vocabulary.load(tmp_path / "vocab.txt")
-        assert again.tokens == v.tokens
+    @pytest.mark.parametrize("tokens", [
+        ["<pad>", "<unk>", "<blank>", 5],
+        ["<pad>", "<unk>", "<blank>", None],
+        {"<pad>": 0, "<unk>": 1, "<blank>": 2},
+        "<pad>",
+    ])
+    def test_tokens_must_be_a_list_of_strings(self, tokens):
+        with pytest.raises(ValueError, match="vocabulary must be a list of strings"):
+            Vocabulary(tokens)
 
 
 class TestGenSynthetic:

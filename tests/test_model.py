@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from salign import Graph, Tensor, grad, ops
-from salign.data import Example, SynthConfig, gen_synthetic
+from salign.data import Example, SynthConfig, Vocabulary, gen_synthetic
 from salign.evaluation import predict_batch
 from salign.model import (
     LEVELS,
+    MAGIC,
     ModelConfig,
     ModelParams,
     _classify,
@@ -430,14 +431,15 @@ class TestPredict:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        config = ModelConfig(vocab_size=18, embed_dim=5, max_len=7)
+        config = ModelConfig(vocab_size=18, embed_dim=5, max_len=7, mode="qa")
         params = ModelParams(config, seed=9)
         path = tmp_path / "model.bin"
-        params.save(path)
-        loaded, loaded_config = ModelParams.load(path)
-        assert loaded_config.vocab_size == 18
-        assert loaded_config.embed_dim == 5
-        assert loaded_config.max_len == 7
+        # any string is a token: the vocab line is JSON
+        vocab = Vocabulary([*Vocabulary.synthetic(15).tokens, "a b", "line\nbreak", "é"])
+        params.save(path, config, vocab)
+        loaded, loaded_config, loaded_vocab = ModelParams.load(path)
+        assert loaded_config == config
+        assert loaded_vocab.tokens == vocab.tokens
         assert list(loaded.tensors()) == [
             "embedding", "conv3_kernel", "conv3_bias", "conv5_kernel", "conv5_bias",
             "out_weight", "out_bias",
@@ -449,13 +451,13 @@ class TestCheckpoint:
     def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
         config = ModelConfig(vocab_size=18, embed_dim=5, max_len=7)
         path = tmp_path / "model.bin"
-        ModelParams(config, seed=9).save(path)
+        ModelParams(config, seed=9).save(path, config, Vocabulary.synthetic(18))
 
         def no_draws(*args):
             raise AssertionError("load drew random values")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        loaded, _ = ModelParams.load(path)
+        loaded, _, _ = ModelParams.load(path)
         assert loaded.embedding.shape == (18, 5)
 
     @pytest.mark.parametrize("mode", ["event", "qa"])
@@ -483,18 +485,22 @@ class TestCheckpoint:
         config = ModelConfig(vocab_size=6, embed_dim=2, max_len=3)
         params = ModelParams(config, seed=0)
         path = tmp_path / "model.bin"
-        params.save(path)
+        params.save(path, config, Vocabulary.synthetic(6))
         raw = path.read_bytes()
         header = raw[: raw.index(b"\n\n")].decode("ascii")
-        assert header.splitlines()[0] == "embedding 6 2"
-        arrays = load_checkpoint(path)
+        assert header.splitlines()[:4] == [
+            MAGIC, "mode event", 'vocab ["<pad>","<unk>","<blank>","w3","w4","w5"]',
+            "embedding 6 2",
+        ]
+        mode, tokens, arrays = load_checkpoint(path)
+        assert (mode, tokens) == ("event", Vocabulary.synthetic(6).tokens)
         assert arrays["embedding"].shape == (6, 2)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         config = ModelConfig(vocab_size=6, embed_dim=2, max_len=3)
         params = ModelParams(config, seed=0)
         path = tmp_path / "model.bin"
-        params.save(path)
+        params.save(path, config, Vocabulary.synthetic(6))
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError):

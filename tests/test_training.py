@@ -193,7 +193,7 @@ class TestTrainLoop:
         for run in range(2):
             params, log = train(config, train_set, dev_set, cfg)
             path = tmp_path / f"ck{run}.bin"
-            params.save(path)
+            params.save(path, config, train_set.vocab)
             logpath = tmp_path / f"log{run}.jsonl"
             log.to_jsonl(logpath)
             blobs.append((path.read_bytes(), logpath.read_bytes()))

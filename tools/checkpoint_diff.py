@@ -5,9 +5,9 @@
 For each checkpoint.bin under OUT_A, in path order, prints its path, the
 largest over its tensors of max |a - b| / max |a| against the file at the
 same path under OUT_B, and, if that is not 0, the tensor that gives it. A
-file missing from OUT_B, or one whose tensor names or shapes differ, is
-reported as such. It only reports: where `diff -r` can say only that two
-checkpoints differ, this says by how much.
+file missing from OUT_B, or one whose mode, vocabulary, tensor names or
+shapes differ, is reported as such. It only reports: where `diff -r` can
+say only that two checkpoints differ, this says by how much.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ def main(argv):
         if not path_b.is_file():
             print(f"{rel}  missing under {root_b}")
             continue
-        a, b = load_checkpoint(path_a), load_checkpoint(path_b)
+        (mode_a, tokens_a, a), (mode_b, tokens_b, b) = map(load_checkpoint, (path_a, path_b))
+        if (mode_a, tokens_a) != (mode_b, tokens_b):
+            print(f"{rel}  mode or vocabulary differs")
+            continue
         if {k: v.shape for k, v in a.items()} != {k: v.shape for k, v in b.items()}:
             print(f"{rel}  tensor names or shapes differ")
             continue

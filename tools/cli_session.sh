@@ -7,8 +7,10 @@
 # lambda 0.5 (all levels) checkpoint with their train logs, eval metrics and
 # verification reports for both, the compare report, the heatmaps of
 # `saliency --baseline-checkpoint`, a second lambda 0.5 checkpoint in OUT/emb
-# whose training starts from OUT/vectors.txt (16 values for every other token
-# of base/vocab.txt, written by awk), and in OUT/log.txt every command with
+# whose training starts from OUT/vectors.txt (16 values, written by awk, for
+# every other token of the training vocabulary in its first-seen order:
+# the reserved tokens, then each train.jsonl record's tokens and then its
+# query), and in OUT/log.txt every command with
 # its printed text and any nonzero exit code. Runs at one BLAS thread and writes
 # no bytecode into TREE. Run it for two trees and `diff -r` the two OUT
 # directories to check that a change leaves the CLI's results byte-identical.
@@ -41,9 +43,11 @@ salign synth $corpus --count 300 --seed 3 --out test.jsonl
 train="train --train train.jsonl --dev dev.jsonl --max-len 12 --embed-dim 16 --epochs 8"
 salign $train --lr 0.005 --seed 4 --lambda 0 --out base
 salign $train --lr 0.005 --seed 4 --lambda 0.5 --levels word,intermediate,decision --out sal
+python3 -c 'from salign.data import load_jsonl
+print("\n".join(load_jsonl("train.jsonl").vocab.tokens))' |
 awk 'NR % 2 { printf "%s", $1
     for (i = 1; i <= 16; i++) printf " %.4f", (NR * 7 + i * 13) % 97 / 97 - 0.5
-    print "" }' base/vocab.txt > vectors.txt
+    print "" }' > vectors.txt
 salign $train --lr 0.005 --seed 4 --lambda 0.5 --levels word,intermediate,decision \
     --embeddings vectors.txt --out emb
 for run in base sal; do
