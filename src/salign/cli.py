@@ -51,10 +51,9 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (validation error) on bad usage."""
+    """argparse that exits 1 (validation error) with one line on bad usage."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise SystemExit(f"error: {message}")
 
 
@@ -314,7 +313,7 @@ def cmd_verify(run):
 
 
 def cmd_gradcheck(run):
-    worst, errors = model_cost_gradcheck(
+    worst, errors, skipped = model_cost_gradcheck(
         embed_dim=run["d"],
         max_len=run["n"],
         examples=run["examples"],
@@ -322,8 +321,8 @@ def cmd_gradcheck(run):
         seed=run["seed"],
         strength=run["strength"],
     )
-    for i, err in enumerate(errors):
-        print(f"example {i}: max rel error {err:.3e}")
+    for i, (err, skips) in enumerate(zip(errors, skipped)):
+        print(f"example {i}: max rel error {err:.3e}, {skips} coordinates skipped")
     print(f"max rel error {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:.0e})")
     if worst >= GRADCHECK_TOLERANCE:
         raise NumericalError(f"gradient check failed: {worst:.3e}")

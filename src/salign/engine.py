@@ -86,13 +86,17 @@ class Graph:
     """Recorder of the op tensors built while it is active.
 
     Used as a context manager: ``nodes`` lists, in creation order, every op
-    output created inside it, with or without gradient tracking. Graphs
+    output created inside it, with or without gradient tracking, and
+    ``routes`` the routing each nonsmooth op froze at forward time (relu's
+    and maximum's boolean arrays, max-pooling's argmax indices), so two
+    passes can be compared for a changed relu, max or hinge choice. Graphs
     nest; an inner one captures the nodes built while it is active, and the
     outer one records again once the inner one exits.
     """
 
     def __init__(self):
         self.nodes = []
+        self.routes = []
         self._prev = None
 
     def __enter__(self):

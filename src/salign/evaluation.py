@@ -12,6 +12,7 @@ import numpy as np
 from . import ops
 from .data import remove_marked
 from .engine import grad, no_grad, set_grad_enabled
+from .loss import padded_mask
 from .model import LEVELS, encode_batch
 
 # examples per batched pass, a forward alone or a forward and its backward;
@@ -114,13 +115,6 @@ def _per_example(sums, examples, levels, max_len):
     ]
 
 
-def trace_scores(trace, examples, levels, max_len):
-    """Per-token score gradients of a batched trace's examples from one
-    backward pass: one dict per example mapping level -> array over its true
-    (unpadded, possibly truncated) token positions."""
-    return _per_example(_level_sums(trace, levels), examples, levels, max_len)
-
-
 def _scored_chunks(params, config, examples, levels):
     """One batched forward, and with levels its backward, per SALIENCY_CHUNK
     examples, dropout off; with no levels, the forward builds no graph.
@@ -149,7 +143,7 @@ def saliency_scores(params, config, examples, levels=LEVELS):
     and backward pass per chunk, dropout off; with no levels, each chunk's
     forward runs alone and builds no graph.
 
-    Returns (scores, labels): trace_scores' dict per example, and the labels
+    Returns (scores, labels): _per_example's dict per example, and the labels
     sigmoid(logit) >= 0.5.
     """
     out, logits = [], []
@@ -178,10 +172,7 @@ def evaluate_model(params, config, dataset, levels=LEVELS) -> MetricsReport:
     logits = []
     for part, chunk_logits, sums in _scored_chunks(params, config, examples, levels):
         logits.append(chunk_logits)
-        mask = np.zeros((len(part), config.max_len), dtype=np.int64)  # padding is unmarked
-        for row, ex in enumerate(part):
-            marked = ex.rationale[: config.max_len]
-            mask[row, : len(marked)] = marked
+        mask = np.stack([padded_mask(ex, config.max_len) for ex in part])
         for level, g in zip(levels, sums):
             counts[level] += _alignment_counts(g, mask)
     report = classification_metrics(_labels(logits).tolist(), [ex.label for ex in examples])

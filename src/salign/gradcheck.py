@@ -2,7 +2,11 @@
 
 A differentiable model is locally linear, so central differences of the
 scalar output approximate the analytic gradient to O(eps^2); these checks
-compare the two over every coordinate.
+compare the two over every coordinate. relu, maximum and max-pooling are
+linear only between kinks, so a coordinate whose step to x + eps or x - eps
+changes any of their routings (the Graph's routes: a relu, max or hinge
+choice) is skipped instead of compared, and the skipped coordinates are
+counted and returned beside the errors.
 """
 
 from __future__ import annotations
@@ -10,159 +14,91 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Graph, grad
-from .evaluation import trace_scores
 from .model import ModelConfig, ModelParams, encode_batch
-
-# smallest distance to a routing kink at which an input counts as smooth
-MIN_MARGIN = 1e-3
 
 
 def finite_diff_check(f, x, eps=1e-4):
-    """Max relative error between analytic gradient of f and central differences.
+    """(max relative error, skipped coordinates) of f's analytic gradient
+    against central differences.
 
     f maps a Tensor to a scalar Tensor and must be deterministic. The error
     at each coordinate is |analytic - cd| / max(1, |cd|).
     """
-    return finite_diff_check_many(lambda: f(x), {"x": x}, eps)[0]
+    return finite_diff_check_many(lambda: f(x), {"x": x}, eps)
+
+
+def _routed(f):
+    """f()'s value and the routing its relu, maximum and max-pool ops took."""
+    with Graph() as graph:
+        y = f()
+    return y, graph.routes
+
+
+def _same_routes(a, b):
+    """Whether two passes routed alike; comparing bytes costs a tenth of
+    np.array_equal on arrays this small, and a check compares two per step."""
+    return len(a) == len(b) and all(
+        p.shape == q.shape and p.tobytes() == q.tobytes() for p, q in zip(a, b)
+    )
 
 
 def finite_diff_check_many(f, tensors, eps=1e-4):
-    """Check the gradient of f() with respect to several leaf tensors.
+    """Check the gradient of f() with respect to several named leaf tensors.
 
     f takes no arguments and rebuilds its graph from the tensors' current
-    values on every call. Returns (max error, {name: error}).
+    values on every call. Returns (max error, skipped), where skipped counts
+    the coordinates left out because a step changed routing.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    y = f()
+    y, routes = _routed(f)
     if y.shape not in ((), (1,)):
         raise ValueError("finite_diff_check_many: f must return a scalar")
-    named = dict(tensors)
-    grads = grad(y, list(named.values()))
+    leaves = list(dict(tensors).values())
+    grads = grad(y, leaves)
 
-    per_tensor = {}
-    for name, t in named.items():
+    worst, skipped = 0.0, 0
+    for t in leaves:
         analytic = grads[t].values.reshape(-1)
         flat = t.values.reshape(-1)
-        worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = f().item()
+            up, up_routes = _routed(f)
             flat[i] = orig - eps
-            down = f().item()
+            down, down_routes = _routed(f)
             flat[i] = orig
-            cd = (up - down) / (2.0 * eps)
+            if not (_same_routes(routes, up_routes) and _same_routes(routes, down_routes)):
+                skipped += 1
+                continue
+            cd = (up.item() - down.item()) / (2.0 * eps)
             err = abs(analytic[i] - cd) / max(1.0, abs(cd))
             if not np.isfinite(err):  # a NaN would compare below any error
                 err = np.inf
             worst = max(worst, err)
-        per_tensor[name] = worst
-    return max(per_tensor.values()), per_tensor
+    return worst, skipped
 
 
-def resample_until_smooth(draw, margin_of, min_margin=MIN_MARGIN, tries=100):
-    """Redraw random inputs until they sit away from routing kinks.
-
-    draw(attempt) produces a candidate, margin_of(candidate) its distance to
-    the nearest relu/max tie point.
-    """
-    for attempt in range(tries):
-        candidate = draw(attempt)
-        if margin_of(candidate) > min_margin:
-            return candidate
-    raise RuntimeError("could not find a kink-free sample")
-
-
-def relu_margin(values):
-    """Distance of any preactivation to the relu kink."""
-    return float(np.min(np.abs(values)))
-
-
-def pool_margin(values, axis):
-    """Smallest gap between the top two entries of each pooled group."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape[axis] < 2:
-        return np.inf
-    ordered = np.sort(v, axis=axis)
-    top = np.take(ordered, -1, axis=axis)
-    second = np.take(ordered, -2, axis=axis)
-    return float(np.min(top - second))
-
-
-def _pool_margin_unique(values, axis):
-    """Top-2 gap per pooled group, ignoring bit-identical duplicates.
-
-    Duplicated padding rows are the same computation and move together under
-    any parameter perturbation, so an exact tie between them is not a kink.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    moved = np.moveaxis(v, axis, -1)
-    worst = np.inf
-    for group in moved.reshape(-1, moved.shape[-1]):
-        distinct = np.unique(group)
-        if distinct.size >= 2:
-            worst = min(worst, float(distinct[-1] - distinct[-2]))
-    return worst
-
-
-def model_kink_margin(params, config, example, saliency_cfg=None):
-    """Distance of one example's forward (and hinge inputs) to the nearest
-    relu / elementwise-max / max-pool / hinge kink under the current
-    parameters. Used to resample gradient-check inputs per the smoothness
-    rule. The forward margins are read off the nodes of one encode_batch
-    pass; the hinge inputs are the marked tokens' per-level gradients, all
-    levels from one backward pass over that same forward."""
-    with Graph() as graph:
-        trace = encode_batch([example], params, config)
-    margins = []
-    for node in graph.nodes:
-        if node.op == "relu":
-            margins.append(relu_margin(node.parents[0].values))
-        elif node.op == "maximum":
-            a, b = (p.values for p in node.parents)
-            both_live = (a > 0) & (b > 0)
-            if both_live.any():
-                margins.append(float(np.min(np.abs(a[both_live] - b[both_live]))))
-    pooled = [(trace.intermediate, 0), (trace.intermediate, 1)]
-    if trace.query_vec is not None:
-        pooled.append((trace.query_vec.parents[0], 0))  # a batch of one pads no query row
-    margins += [_pool_margin_unique(t.values[0], axis) for t, axis in pooled]
-    margin = min(margins)
-    marked = np.array(example.rationale[: config.max_len]) > 0
-    if saliency_cfg is not None and saliency_cfg.enabled and marked.any():
-        (scores,) = trace_scores(trace, [example], saliency_cfg.levels, config.max_len)
-        margin = min([margin] + [float(np.min(np.abs(g[marked]))) for g in scores.values()])
-    return margin
-
-
-def select_smooth_positives(params, config, examples, saliency_cfg, count):
-    """First `count` positive examples whose forward sits clear of kinks."""
+def select_smooth_positives(examples, count):
+    """The first `count` positive examples with a marked token: a gradient
+    check's inputs. No input is drawn away from kinks; the check skips the
+    coordinates whose routing a step changes."""
     if count < 1:
         raise ValueError("examples must be positive")
-    chosen = []
-    scanned = 0
-    for ex in examples:
-        if ex.label != 1 or ex.marked_count < 1:
-            continue
-        scanned += 1
-        if model_kink_margin(params, config, ex, saliency_cfg) > MIN_MARGIN:
-            chosen.append(ex)
-            if len(chosen) == count:
-                return chosen
-    raise ValueError(
-        f"found only {len(chosen)} kink-free positives of {count} requested "
-        f"among {scanned} marked positive candidates"
-    )
+    chosen = [ex for ex in examples if ex.label == 1 and ex.marked_count >= 1][:count]
+    if len(chosen) < count:
+        raise ValueError(f"found only {len(chosen)} marked positives of {count} requested")
+    return chosen
 
 
 def model_cost_gradcheck(embed_dim=8, max_len=6, examples=5, eps=1e-4, seed=0, strength=0.5):
     """Check the full multi-level training cost against central differences.
 
-    Builds a small seeded model, draws random positive examples clear of
-    routing kinks, and compares the analytic parameter gradient of the cost
+    Builds a small seeded model, takes the first marked positive examples of
+    a seeded corpus, and compares the analytic parameter gradient of the cost
     (task loss plus hinge penalties, built through create_graph) with
-    central finite differences. Returns (max error, per-example errors).
+    central finite differences. Returns (max error, per-example errors,
+    per-example skipped coordinates).
     """
     from .data import SynthConfig, gen_synthetic
     from .loss import SaliencyConfig, total_cost
@@ -180,13 +116,13 @@ def model_cost_gradcheck(embed_dim=8, max_len=6, examples=5, eps=1e-4, seed=0, s
             seed=seed + 1,
         )
     )
-    chosen = select_smooth_positives(params, config, corpus.examples, saliency_cfg, examples)
-    errors = []
-    for ex in chosen:
+    errors, skipped = [], []
+    for ex in select_smooth_positives(corpus.examples, examples):
 
         def cost():
             return total_cost(encode_batch([ex], params, config), [ex], saliency_cfg)
 
-        err, _ = finite_diff_check_many(cost, params.tensors(), eps=eps)
+        err, skips = finite_diff_check_many(cost, params.tensors(), eps=eps)
         errors.append(err)
-    return max(errors), errors
+        skipped.append(skips)
+    return max(errors), errors, skipped

@@ -9,7 +9,10 @@ their second derivative is zero almost everywhere. relu and maximum keep
 that pattern as one boolean array, an eighth the size of a float64 mask,
 and their VJP multiplies by its float64 cast, whose 0.0 and 1.0 give the
 same bits a float mask would; maximum's second operand takes the negation.
-Max-pooling keeps its argmax indices in a take.
+Max-pooling keeps its argmax indices in a take. Each of the three also
+appends that routing to the active Graph's ``routes``, if a Graph is
+active, so a gradient check can tell which perturbations changed a relu,
+max or hinge choice.
 
 conv1d_same is one node that keeps only its output: for its kernel's
 gradient, its backward rebuilds the zero-padded windows of its input with
@@ -50,6 +53,13 @@ def _node(op, values, parents, vjp):
     if g is not None:
         g.nodes.append(out)
     return out
+
+
+def _route(pattern):
+    """Record a nonsmooth op's frozen routing on the active Graph, if any."""
+    g = engine.active_graph()
+    if g is not None:
+        g.routes.append(pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +126,7 @@ def sub(a, b):
 def relu(a):
     a = _as_tensor(a)
     live = a.values > 0
+    _route(live)
 
     def vjp(g, needs):
         return (mul(g, Tensor(live)),)
@@ -129,6 +140,7 @@ def maximum(a, b):
     if a.shape != b.shape:
         raise ValueError(f"maximum: shape mismatch {a.shape} vs {b.shape}")
     take_a = a.values >= b.values
+    _route(take_a)
 
     def vjp(g, needs):
         da = mul(g, Tensor(take_a)) if needs[0] else None
@@ -378,6 +390,7 @@ def maxpool_axis(a, axis, valid=None):
 
     candidates = a.values if valid is None else np.where(valid, a.values, -np.inf)
     idx = np.argmax(candidates, axis=axis)
+    _route(idx)
     key = list(np.indices(idx.shape, sparse=True))
     key.insert(axis, idx)
     return take(a, tuple(key))

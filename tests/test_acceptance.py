@@ -146,17 +146,18 @@ def test_criterion_1_delta_tpr_formula_reproduction():
 
 def test_criterion_2_gradient_check_suite():
     started = time.perf_counter()
-    worst, errors = model_cost_gradcheck(
+    worst, errors, skipped = model_cost_gradcheck(
         embed_dim=8, max_len=6, examples=5, eps=1e-4, seed=0, strength=0.5
     )
     elapsed = time.perf_counter() - started
-    ok = worst < 1e-4 and elapsed < 120
+    ok = worst < 1e-4 and sum(skipped) == 0 and elapsed < 120
     print(
         f"CRITERION 2 (three-level cost gradient vs finite differences): "
         f"{'PASS' if ok else 'FAIL'} (max err {worst:.3e} over {len(errors)} examples, "
-        f"{elapsed:.1f}s)"
+        f"{sum(skipped)} coordinates skipped, {elapsed:.1f}s)"
     )
     assert worst < 1e-4
+    assert skipped == [0] * 5
     assert elapsed < 120
 
 

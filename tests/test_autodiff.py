@@ -9,7 +9,6 @@ import pytest
 from salign import Tensor, Graph, grad, no_grad, finite_diff_check, finite_diff_check_many
 from salign import ops
 from salign.data import SynthConfig, gen_synthetic
-from salign.gradcheck import pool_margin, relu_margin, resample_until_smooth
 from salign.loss import SaliencyConfig
 from salign.model import LEVELS, ModelConfig, ModelParams
 from salign.training import TrainConfig, _batch_cost
@@ -46,6 +45,13 @@ def conv1d_composite(x, kernel, bias):
     return ops.add(ops.reshape(out, lead + (d_out,)), bias)
 
 
+def smooth_error(f, x, eps=1e-4):
+    """finite_diff_check's error, on an input where no step changes routing."""
+    err, skipped = finite_diff_check(f, x, eps)
+    assert skipped == 0
+    return err
+
+
 class TestBackwardContract:
     def test_square_gradient(self):
         x = Tensor(3.0)
@@ -67,7 +73,7 @@ class TestBackwardContract:
             return ops.sum_axes(ops.relu(ops.add(ops.matmul2d(xt, W), b)))
 
         x = Tensor(rng.normal(size=(3, 4)))
-        assert finite_diff_check(f, x, eps=1e-4) < 1e-5
+        assert smooth_error(f, x, eps=1e-4) < 1e-5
 
     def test_non_scalar_root_rejected(self):
         x = Tensor([1.0, 2.0])
@@ -226,7 +232,7 @@ class TestConv1dSame:
             return ops.sum_axes(ops.conv1d_same(xt, kernel, bias))
 
         x = Tensor(rng.normal(size=(5, 2)))
-        assert finite_diff_check(f, x, eps=1e-4) < 1e-5
+        assert smooth_error(f, x, eps=1e-4) < 1e-5
 
 
 class TestConvNode:
@@ -299,17 +305,12 @@ class TestMaxPool:
         np.testing.assert_array_equal(g.values, [[1.0, 0.0]])
 
     def test_gradient_matches_finite_differences_away_from_ties(self):
-        rng = np.random.default_rng(5)
-
-        def draw(attempt):
-            return rng.normal(size=(6, 8))
-
-        vals = resample_until_smooth(draw, lambda v: pool_margin(v, axis=0))
+        vals = np.random.default_rng(5).normal(size=(6, 8))
 
         def f(xt):
             return ops.sum_axes(ops.maxpool_axis(xt, axis=0))
 
-        assert finite_diff_check(f, Tensor(vals), eps=1e-4) < 1e-5
+        assert smooth_error(f, Tensor(vals), eps=1e-4) < 1e-5
 
     def test_gradient_mass_conserved_per_group(self):
         rng = np.random.default_rng(6)
@@ -340,11 +341,7 @@ class TestMaskedMaxPool:
         rng = np.random.default_rng(seed)
         valid = np.arange(6)[None, :, None] < np.array([1, 6, 3, 4])[:, None, None]
         valid = np.broadcast_to(valid, (4, 6, 5))
-        vals = resample_until_smooth(
-            lambda attempt: rng.normal(size=(4, 6, 5)),
-            lambda v: pool_margin(np.where(valid, v, -1e9), axis=1),
-        )
-        return vals, valid
+        return rng.normal(size=(4, 6, 5)), valid
 
     def test_values_and_routing_skip_invalid_entries(self):
         vals, valid = self.draw(11)
@@ -363,7 +360,7 @@ class TestMaskedMaxPool:
         def f(xt):
             return ops.sum_axes(ops.mul(ops.maxpool_axis(xt, axis=1, valid=valid), upstream))
 
-        assert finite_diff_check(f, Tensor(vals), eps=1e-4) < 1e-5
+        assert smooth_error(f, Tensor(vals), eps=1e-4) < 1e-5
 
     def test_second_order_matches_finite_differences(self):
         vals, valid = self.draw(14)
@@ -378,7 +375,7 @@ class TestMaskedMaxPool:
 
         # the routing is frozen, so g is linear in x and its gradient is
         # 2 * weights at each group's valid argmax
-        assert finite_diff_check(g_fn, Tensor(vals), eps=1e-4) < 1e-5
+        assert smooth_error(g_fn, Tensor(vals), eps=1e-4) < 1e-5
         x = Tensor(vals)
         g2 = grad(g_fn(x), [x])[x].values
         assert np.all(g2[~valid] == 0.0)
@@ -450,16 +447,16 @@ class TestSecondOrder:
 class TestFiniteDiffCheck:
     def test_linear_function_is_exact(self):
         # at the origin both perturbed sums are exact, so the error is 0
-        assert finite_diff_check(lambda t: ops.sum_axes(t), Tensor(np.zeros(4))) == 0.0
+        assert finite_diff_check(lambda t: ops.sum_axes(t), Tensor(np.zeros(4))) == (0.0, 0)
         # elsewhere only rounding noise of the sums remains
-        assert finite_diff_check(lambda t: ops.sum_axes(t), Tensor(np.arange(4.0))) < 1e-10
+        assert smooth_error(lambda t: ops.sum_axes(t), Tensor(np.arange(4.0))) < 1e-10
 
     def test_quadratic(self):
         x = Tensor([1.0, 2.0])
         y = ops.sum_axes(ops.mul(x, x))
         analytic = grad(y, [x])[x].values
         np.testing.assert_allclose(analytic, [2.0, 4.0])
-        assert finite_diff_check(lambda t: ops.sum_axes(ops.mul(t, t)), x) < 1e-7
+        assert smooth_error(lambda t: ops.sum_axes(ops.mul(t, t)), x) < 1e-7
 
     def test_bad_eps_rejected(self):
         for eps in (0.0, -1e-4, float("nan"), float("inf")):
@@ -477,18 +474,41 @@ class TestFiniteDiffCheck:
             y = ops.sum_axes(ops.mul(t, t))
             return y if np.array_equal(t.values, base) else ops.scale(y, np.nan)
 
-        assert finite_diff_check(f, x) == np.inf
+        assert finite_diff_check(f, x) == (np.inf, 0)
 
     def test_non_finite_analytic_gradient_fails(self):
         x = Tensor([1.0, 2.0])
-        assert finite_diff_check(lambda t: ops.sum_axes(ops.scale(t, np.inf)), x) == np.inf
+        assert finite_diff_check(lambda t: ops.sum_axes(ops.scale(t, np.inf)), x) == (np.inf, 0)
+
+    def test_step_across_a_kink_is_skipped(self):
+        # at eps 1e-4 only the entry 5e-5 from the relu kink changes routing
+        x = Tensor([5e-5, 1.0, -2.0, 0.3])
+        with Graph() as graph:
+            ops.relu(x)
+        assert [r.tolist() for r in graph.routes] == [[True, True, False, True]]
+        err, skipped = finite_diff_check(lambda t: ops.sum_axes(ops.relu(t)), x, eps=1e-4)
+        assert err < 1e-10 and skipped == 1
+        np.testing.assert_array_equal(x.values, [5e-5, 1.0, -2.0, 0.3])
+        x.values[0] = 0.5  # the same input with that entry off the kink
+        assert finite_diff_check(lambda t: ops.sum_axes(ops.relu(t)), x, eps=1e-4)[1] == 0
+
+    def test_wrong_vjp_on_a_smooth_coordinate_fails(self):
+        # values 2a but a VJP of 3g: the live coordinate reports
+        # |3 - 2| / 2, while the one beside the kink is skipped
+        def wrong_double(a):
+            return ops._node("wrong_double", 2.0 * a.values, (a,),
+                             lambda g, needs: (ops.scale(g, 3.0),))
+
+        x = Tensor([5e-5, 1.0, -2.0])
+        err, skipped = finite_diff_check(lambda t: ops.sum_axes(wrong_double(ops.relu(t))), x)
+        assert (err, skipped) == (pytest.approx(0.5, rel=1e-9), 1)
 
     def test_one_element_root_accepted(self):
         x = Tensor([1.0, -2.0, 0.5])
-        err, _ = finite_diff_check_many(
+        err, skipped = finite_diff_check_many(
             lambda: ops.reshape(ops.sum_axes(ops.mul(x, x)), (1,)), {"x": x}
         )
-        assert err < 1e-7
+        assert err < 1e-7 and skipped == 0
         assert Tensor([3.0]).item() == 3.0
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
@@ -739,8 +759,8 @@ class TestRandomOpGradients:
     @pytest.mark.parametrize("op,label", CASES, ids=CASE_IDS)
     def test_first_order(self, op, label):
         fn, tensors, named = case_inputs(op, label)
-        err, _ = finite_diff_check_many(lambda: readout(fn(*tensors)), named)
-        assert err < 1e-5
+        err, skipped = finite_diff_check_many(lambda: readout(fn(*tensors)), named)
+        assert err < 1e-5 and skipped == 0
 
     @pytest.mark.parametrize("op,label", CASES, ids=CASE_IDS)
     def test_second_order(self, op, label):
@@ -753,27 +773,14 @@ class TestRandomOpGradients:
             terms = [ops.sum_axes(ops.mul(grads[t], w)) for t, w in zip(tensors, weights)]
             return functools.reduce(ops.add, terms)
 
-        err, _ = finite_diff_check_many(weighted_first_grad, named)
-        assert err < 1e-5
+        err, skipped = finite_diff_check_many(weighted_first_grad, named)
+        assert err < 1e-5 and skipped == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_composite_pipeline(self, seed):
         rng = np.random.default_rng(100 + seed)
-
-        def draw(attempt):
-            return {
-                "x": rng.normal(size=(5, 3)),
-                "k": rng.normal(size=(3, 3, 3)),
-                "b": rng.normal(size=(3,)),
-                "w": rng.normal(size=(3 + 5,)),
-            }
-
-        def margin(c):
-            conv = conv1d_loop_oracle(c["x"], c["k"], c["b"])
-            return min(relu_margin(conv), pool_margin(np.maximum(conv, 0), 0), pool_margin(np.maximum(conv, 0), 1))
-
-        c = resample_until_smooth(draw, margin)
-        k, b, w = Tensor(c["k"]), Tensor(c["b"]), Tensor(c["w"])
+        x = Tensor(rng.normal(size=(5, 3)))
+        k, b, w = (Tensor(rng.normal(size=s)) for s in ((3, 3, 3), (3,), (3 + 5,)))
 
         def f(xt):
             hidden = ops.relu(ops.conv1d_same(xt, k, b))
@@ -782,7 +789,7 @@ class TestRandomOpGradients:
             h = ops.concat_last(seq, dim)
             return ops.sum_axes(ops.mul(h, w))
 
-        assert finite_diff_check(f, Tensor(c["x"]), eps=1e-4) < 1e-5
+        assert smooth_error(f, x, eps=1e-4) < 1e-5
 
     @pytest.mark.parametrize(
         "name",
@@ -818,4 +825,4 @@ class TestRandomOpGradients:
                 return ops.sum_axes(ops.sigmoid(ops.mul(t, t)))
 
             x = Tensor(rng.normal(size=(4,)))
-        assert finite_diff_check(f, x, eps=1e-4) < 1e-5
+        assert smooth_error(f, x, eps=1e-4) < 1e-5

@@ -537,12 +537,19 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", "--d", "6", "--n", "4", "--examples", "2") == 0
         assert "max rel error" in capsys.readouterr().out
 
-    def test_too_few_smooth_positives_exits_1_with_one_line(self, capsys):
-        assert run_cli("gradcheck", "--n", "40") == 1
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
-        assert "of 5 requested" in err
+    def test_long_sentences_pass(self, capsys):
+        # n 40 used to fail: its inputs sat within a margin of some kink
+        assert run_cli("gradcheck", "--n", "40", "--examples", "1") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("example 0: max rel error ")
+        assert out[0].endswith(", 0 coordinates skipped")
+        assert out[1].startswith("max rel error ") and out[1].endswith(" (tolerance 1e-04)")
+
+    def test_too_few_marked_positives_exits_1_with_one_line(self, capsys):
+        assert run_cli("gradcheck", "--examples", "500") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: found only 98 marked positives of 500 requested"]
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_nonpositive_examples_exits_1_with_one_line(self, capsys, count):
@@ -601,6 +608,16 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         assert run_cli("synth", "--frobnicate", "1") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--vocab", "x"], "unrecognized arguments: --vocab x"),
+        ([], "the following arguments are required: command"),
+    ], ids=["deleted_option", "bare"])
+    def test_exits_1_with_one_line(self, capsys, argv, message):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 class TestConfigPrecedence:

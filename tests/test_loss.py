@@ -10,7 +10,6 @@ from salign.evaluation import evaluate_model, saliency_scores
 from salign.gradcheck import (
     finite_diff_check_many,
     model_cost_gradcheck,
-    model_kink_margin,
     select_smooth_positives,
 )
 from salign.loss import (
@@ -179,8 +178,10 @@ class TestTotalCost:
         assert abs(cost.item() - task_loss(trace.logit, 1).item()) < 1e-15
 
     def test_full_cost_gradient_matches_finite_differences(self):
-        worst, _ = model_cost_gradcheck(embed_dim=8, max_len=6, examples=5, eps=1e-4, seed=0)
+        worst, _, skipped = model_cost_gradcheck(embed_dim=8, max_len=6, examples=5, eps=1e-4,
+                                                 seed=0)
         assert worst < 1e-4
+        assert skipped == [0] * 5
 
     def test_single_level_cost_matches_manual_formula(self):
         # strength * sum_i max(0, -Z_i * sum_j dlogit/dW_ij) added to the loss
@@ -318,53 +319,19 @@ class TestInactiveLevelSkip:
         assert self.param_backward(cost, params)[0] == self.param_backward(loss, params)[0]
 
 
-class TestKinkMargin:
-    @staticmethod
-    def make(mode, synth_max_len):
-        config = ModelConfig(vocab_size=12, embed_dim=8, max_len=6, mode=mode)
+class TestSelectSmoothPositives:
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_returns_the_first_marked_positives_without_a_pass(self, mode, passes):
         corpus = gen_synthetic(SynthConfig(count=200, vocab_size=12, trigger_count=2, min_len=3,
-                                           max_len=synth_max_len, seed=1, mode=mode))
-        return ModelParams(config, seed=0), config, corpus.examples
+                                           max_len=6, seed=1, mode=mode))
+        candidates = [ex for ex in corpus.examples if ex.label == 1 and ex.marked_count >= 1]
+        chosen = select_smooth_positives(corpus.examples, 3)
+        assert [id(ex) for ex in chosen] == [id(ex) for ex in candidates[:3]]
+        assert passes == {"forward": [], "backward": 0}
 
-    @staticmethod
-    def reference(params, config, ex, cfg):
-        """Forward kink margin, then one grad per level on the batch-of-one
-        trace, summed over each row's dimensions. model_kink_margin takes the
-        word level at the conv outputs and sums its kernel over d before the
-        transposed conv, so the two round apart: by 8.1e-15 relative in event
-        and 4.4e-15 in qa."""
-        margin = model_kink_margin(params, config, ex)
-        trace = encode_batch([ex], params, config)
-        mask = padded_mask(ex, config.max_len)
-        for level in cfg.levels:
-            target = trace.level_tensor(level)
-            g = grad(trace.logit, [target])[target].values[0]
-            marked = (g.sum(axis=-1) if g.ndim == 2 else g)[mask > 0]
-            if marked.size:
-                margin = min(margin, float(np.min(np.abs(marked))))
-        return margin
-
-    @pytest.mark.parametrize("mode", ["event", "qa"])
-    def test_equals_per_level_token_saliency_reference(self, mode):
-        params, config, examples = self.make(mode, synth_max_len=8)
-        params.out_weight.values *= 0.01  # shrinks the gradients, not the forward margins
-        cfg = SaliencyConfig(strength=0.5)
-        binding = 0
-        for ex in examples:
-            if ex.label == 1:
-                want = self.reference(params, config, ex, cfg)
-                got = model_kink_margin(params, config, ex, cfg)
-                assert got == pytest.approx(want, rel=1e-12, abs=0)
-                binding += want < model_kink_margin(params, config, ex)
-        assert binding > 0  # the hinge inputs set some examples' margin
-
-    @pytest.mark.parametrize("mode", ["event", "qa"])
-    def test_selection_runs_one_backward_per_candidate(self, mode, passes):
-        params, config, examples = self.make(mode, synth_max_len=6)
-        candidates = [ex for ex in examples if ex.label == 1 and ex.marked_count >= 1]
-        chosen = select_smooth_positives(params, config, examples, SaliencyConfig(0.5), 3)
-        scanned = next(i for i, ex in enumerate(candidates) if ex is chosen[-1]) + 1
-        # per candidate: one forward, read for the routing margins and then
-        # differentiated for the hinge inputs
-        assert passes["forward"] == [(1, True)] * scanned
-        assert passes["backward"] == scanned
+    def test_skips_negatives_and_unmarked_positives(self):
+        examples = [example([4, 5], label=0), example([4, 5]), example([6, 7], marked=(1,)),
+                    example([8], marked=(0,))]
+        assert select_smooth_positives(examples, 2) == examples[2:]
+        with pytest.raises(ValueError, match="^found only 2 marked positives of 3 requested$"):
+            select_smooth_positives(examples, 3)

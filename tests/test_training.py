@@ -7,7 +7,7 @@ import pytest
 
 from salign import Tensor, grad, ops
 from salign.data import Example, SynthConfig, gen_synthetic
-from salign.gradcheck import finite_diff_check_many, select_smooth_positives
+from salign.gradcheck import _routed, _same_routes, finite_diff_check_many, select_smooth_positives
 from salign.loss import SaliencyConfig, task_loss, total_cost
 from salign.model import LEVELS, ModelConfig, ModelParams, encode_batch
 from salign.training import AdamState, NumericalError, TrainConfig, _batch_cost, adam_step, train
@@ -137,22 +137,75 @@ class TestBatchCost:
         query tower and the double backward, against central differences."""
         config = ModelConfig(vocab_size=12, embed_dim=8, max_len=6, mode="qa")
         params = ModelParams(config, seed=0)
-        saliency = SaliencyConfig(strength=0.5, levels=LEVELS)
-        cfg = TrainConfig(dropout=0.0, saliency=saliency)
+        cfg = TrainConfig(dropout=0.0, saliency=SaliencyConfig(strength=0.5, levels=LEVELS))
         corpus = gen_synthetic(SynthConfig(count=200, vocab_size=12, trigger_count=2, min_len=3,
                                            max_len=6, seed=1, mode="qa"))
         by_length = {}
         for ex in corpus.examples:
             by_length.setdefault(len(ex.query), []).append(ex)
-        batch = [select_smooth_positives(params, config, by_length[m], saliency, 1)[0]
-                 for m in sorted(by_length)]
+        batch = [select_smooth_positives(by_length[m], 1)[0] for m in sorted(by_length)]
         assert [len(ex.query) for ex in batch] == [3, 4, 5, 6, 7]  # 7 exceeds max_len
 
         def cost():
             return _batch_cost(batch, params, config, cfg, None)[0]
 
-        worst, _ = finite_diff_check_many(cost, params.tensors(), eps=1e-4)
+        worst, skipped = finite_diff_check_many(cost, params.tensors(), eps=1e-4)
         assert worst < 1e-4
+        assert skipped == 0
+
+
+class TestDirectionalCheck:
+    """The full training cost at training size (vocabulary 200, d 32, n 12,
+    a 32-example batch with dropout masks, lambda 0.5 on every level): its
+    parameter gradient's inner product with random +-1 directions v against
+    the central difference of the cost along v.
+
+    A direction whose step changes any relu, max or hinge choice is skipped.
+    A fresh model's pad row is zero, which ties every fully padded window
+    with the zero-padded one at the sentence's end, so every direction (each
+    moves the pad row) crosses a kink there; a trained pad row is not zero,
+    and this test draws it like any other row.
+
+    Thresholds, fixed before the first run: at EPS 1e-7 rounding leaves about
+    1e-9 of error, so BOUND is 1e-7; at least MIN_COMPARED of the DIRECTIONS
+    must be compared, so the check cannot pass by skipping everything."""
+
+    EPS, DIRECTIONS, BOUND, MIN_COMPARED = 1e-7, 20, 1e-7, 10
+
+    @pytest.mark.parametrize("mode", ["event", "qa"])
+    def test_directional_derivatives_match_central_differences(self, mode):
+        rng = np.random.default_rng(0)
+        examples = gen_synthetic(SynthConfig(count=32, vocab_size=200, trigger_count=8,
+                                             min_len=6, max_len=12, seed=1, mode=mode)).examples
+        config = ModelConfig(vocab_size=200, embed_dim=32, max_len=12, mode=mode)
+        params = ModelParams(config, seed=0)
+        params.embedding.values[0] = rng.normal(0.0, 0.1, config.embed_dim)
+        cfg = TrainConfig(dropout=0.5, saliency=SaliencyConfig(strength=0.5, levels=LEVELS))
+        masks = (rng.random((32, config.feature_size)) >= 0.5) * 2.0
+
+        def cost():
+            return _batch_cost(examples, params, config, cfg, masks)[0]
+
+        named = params.tensors()
+        base, routes = _routed(cost)
+        grads = grad(base, list(named.values()))
+        start = {name: t.values.copy() for name, t in named.items()}
+        errors = []
+        for _ in range(self.DIRECTIONS):
+            v = {name: rng.choice([-1.0, 1.0], t.shape) for name, t in named.items()}
+            analytic = sum(float(np.sum(grads[t].values * v[name])) for name, t in named.items())
+            ends = []
+            for sign in (1.0, -1.0):
+                for name, t in named.items():
+                    t.values[...] = start[name] + sign * self.EPS * v[name]
+                ends.append(_routed(cost))
+            if all(_same_routes(routes, moved) for _, moved in ends):
+                cd = (ends[0][0].item() - ends[1][0].item()) / (2.0 * self.EPS)
+                errors.append(abs(analytic - cd) / max(1.0, abs(cd)))
+        for name, t in named.items():
+            t.values[...] = start[name]
+        assert len(errors) >= self.MIN_COMPARED
+        assert max(errors) < self.BOUND
 
 
 class TestTrainConfig:

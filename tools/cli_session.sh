@@ -59,3 +59,4 @@ salign compare --checkpoint-a base/checkpoint.bin --checkpoint-b sal/checkpoint.
 salign saliency --checkpoint sal/checkpoint.bin --baseline-checkpoint base/checkpoint.bin \
     --data test.jsonl --limit 300 --out heatmaps
 salign gradcheck --examples 2
+salign gradcheck --n 40 --examples 1
